@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the HDPAT reproduction. Ordered cheapest-first so fast failures
 # come fast: formatting, clippy (plain, each of the audit/trace/telemetry
-# features, and all three combined), the determinism/shard-safety lint pass
-# with its JSON artifact plus the shard-safety report drift gate (DESIGN.md
-# §8.1/§13), rustdoc (warnings denied) + doctests, then the tier-1 build +
+# features, and all three combined), the determinism lint pass with its JSON
+# artifact (DESIGN.md §8.1/§13), rustdoc (warnings denied) + doctests, then the tier-1 build +
 # tests, the full workspace suite, the trace determinism gate (DESIGN.md §10),
 # the telemetry determinism gates (DESIGN.md §12: observational parity plus
 # timeline/heatmap artifacts byte-identical across --jobs), the
@@ -93,14 +92,11 @@ cargo clippy -p hdpat-wafer --all-targets --features selfprof -q -- -D warnings
 echo "== cargo clippy (audit+trace+telemetry+selfprof combined, -D warnings)"
 cargo clippy -p hdpat-wafer --all-targets --features audit,trace,telemetry,selfprof -q -- -D warnings
 
-echo "== determinism/shard-safety lint (cargo run -p xtask -- lint --json)"
+echo "== determinism lint (cargo run -p xtask -- lint --json)"
 mkdir -p target/ci
 cargo run -p xtask -q -- lint --json > target/ci/lint.json
 # The JSON artifact must agree with the exit status: zero diagnostics.
 grep -q '"violations": 0,' target/ci/lint.json
-
-echo "== shard-safety report drift gate (xtask analyze --check)"
-cargo run -p xtask -q -- analyze --check
 
 echo "== rustdoc (workspace, -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -121,7 +117,7 @@ cargo test --features trace --test trace_determinism -q
 echo "== telemetry determinism gate (tests/telemetry_determinism.rs)"
 cargo test --features telemetry --test telemetry_determinism -q
 
-echo "== sharded equivalence gate (tests/equivalence.rs, per feature set)"
+echo "== equivalence gate (tests/equivalence.rs, per feature set)"
 cargo test --release --test equivalence -q
 cargo test --release --features audit --test equivalence -q
 cargo test --release --features trace --test equivalence -q
@@ -226,7 +222,7 @@ grep -q '"disk": 70' target/ci/replay_ops_stats.json
 # ...the final metrics snapshot is schema-tagged and reconciles: every
 # submit accounted for, all of them attributed to the disk tier...
 grep -q '"type":"metrics"' target/ci/metrics.json
-grep -q '"schema":1' target/ci/metrics.json
+grep -q '"schema":2' target/ci/metrics.json
 grep -q '"submitted":70' target/ci/metrics.json
 grep -q '"completed":70' target/ci/metrics.json
 grep -q '"disk":{"count":70' target/ci/metrics.json
@@ -244,7 +240,7 @@ echo "== perf-trajectory gate (fig14 vs pre-PR-4 golden, -10% events/s floor)"
 ./target/release/hdpat-sim figure fig14 --scale bench --no-cache \
     --perf-out target/ci/BENCH_PR9_serial.json > target/ci/fig14.txt
 cmp tests/golden/fig14_bench.txt target/ci/fig14.txt
-grep -q '"schema": 2' target/ci/BENCH_PR9_serial.json
+grep -q '"schema": 3' target/ci/BENCH_PR9_serial.json
 cat target/ci/BENCH_PR9_serial.json
 # Regression gate: the fresh serial events/s must stay within 10% of the
 # committed trajectory point (BENCH_PR9.json `serial` block). Machine noise
@@ -254,21 +250,5 @@ base="$(sed -n '/"serial"/,/}/s/.*"events_per_sec": \([0-9]*\).*/\1/p' BENCH_PR9
 floor=$((base * 9 / 10))
 echo "fig14 serial: ${fresh} events/s (committed ${base}, floor ${floor})"
 test "$fresh" -ge "$floor"
-
-echo "== sharded-drive gate (fig14 --shards 4 byte-identical per feature set, DESIGN.md §15)"
-# The plain (feature-off) binary is still in place from the lanes above.
-./target/release/hdpat-sim figure fig14 --scale bench --no-cache --shards 4 \
-    --perf-out target/ci/BENCH_PR9_sharded.json > target/ci/fig14_shards4.txt
-cmp tests/golden/fig14_bench.txt target/ci/fig14_shards4.txt
-grep -q '"shards": 4' target/ci/BENCH_PR9_sharded.json
-cat target/ci/BENCH_PR9_sharded.json
-for feat in audit trace telemetry; do
-  cargo build --release -q -p wsg-bench --features "$feat"
-  ./target/release/hdpat-sim figure fig14 --scale bench --no-cache --shards 4 \
-      > "target/ci/fig14_shards4_${feat}.txt"
-  cmp tests/golden/fig14_bench.txt "target/ci/fig14_shards4_${feat}.txt"
-done
-# Leave the default binary in place again.
-cargo build --release -q -p wsg-bench
 
 echo "CI green."

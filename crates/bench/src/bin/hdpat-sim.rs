@@ -37,7 +37,7 @@
 
 use std::path::{Path, PathBuf};
 
-use hdpat::experiments::{run_with_shards, DiskCache, RunConfig, SweepCtx};
+use hdpat::experiments::{run, DiskCache, RunConfig, SweepCtx};
 use hdpat::policy::PolicyKind;
 use hdpat::serve::{Daemon, DaemonConfig};
 use wsg_bench::report::{emit, Table};
@@ -65,7 +65,7 @@ fn parse_scale(s: &str) -> Option<Scale> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  hdpat-sim list\n  hdpat-sim run <BENCH> <POLICY> [--scale unit|bench|full] [--seed N] [--shards N]\n  hdpat-sim compare <BENCH> [--scale ...] [--jobs N] [--shards N] [--no-cache] [--progress]\n  hdpat-sim figure <figNN|tabN|all> [--scale ...] [--jobs N] [--shards N] [--no-cache] [--progress] [--perf-out FILE]\n  hdpat-sim trace <BENCH> [--scale ...] [--seed N] [--out FILE] [--policy P]\n  hdpat-sim timeline <BENCH> --out FILE [--interval N] [--format csv|json|perfetto] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim heatmap <BENCH> --out FILE [--interval N] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim regen-experiments [--scale ...] [--jobs N] [--check] [--path FILE]\n  hdpat-sim serve (--socket PATH | --stdio) [--jobs N] [--cache-dir DIR] [--cache-budget BYTES] [--ops-log FILE] [--metrics-out FILE] [--metrics-interval SECS]\n  hdpat-sim replay <MIX> [--socket PATH] [--shutdown] [--out FILE] [--stats-out FILE] [--jobs N] [--cache-dir DIR] [--cache-budget BYTES]\n  hdpat-sim emit-mix fig14 [--scale ...] [--seed N] [--out FILE]\n  hdpat-sim regen-protocol [--check] [--path FILE]\n\nsweep commands also accept --cache-dir DIR [--cache-budget BYTES] for the\npersistent cross-process run cache (DESIGN.md \u{a7}14)."
+        "usage:\n  hdpat-sim list\n  hdpat-sim run <BENCH> <POLICY> [--scale unit|bench|full] [--seed N]\n  hdpat-sim compare <BENCH> [--scale ...] [--jobs N] [--no-cache] [--progress]\n  hdpat-sim figure <figNN|tabN|all> [--scale ...] [--jobs N] [--no-cache] [--progress] [--perf-out FILE]\n  hdpat-sim trace <BENCH> [--scale ...] [--seed N] [--out FILE] [--policy P]\n  hdpat-sim timeline <BENCH> --out FILE [--interval N] [--format csv|json|perfetto] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim heatmap <BENCH> --out FILE [--interval N] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim regen-experiments [--scale ...] [--jobs N] [--check] [--path FILE]\n  hdpat-sim serve (--socket PATH | --stdio) [--jobs N] [--cache-dir DIR] [--cache-budget BYTES] [--ops-log FILE] [--metrics-out FILE] [--metrics-interval SECS]\n  hdpat-sim replay <MIX> [--socket PATH] [--shutdown] [--out FILE] [--stats-out FILE] [--jobs N] [--cache-dir DIR] [--cache-budget BYTES]\n  hdpat-sim emit-mix fig14 [--scale ...] [--seed N] [--out FILE]\n  hdpat-sim regen-protocol [--check] [--path FILE]\n\nsweep commands also accept --cache-dir DIR [--cache-budget BYTES] for the\npersistent cross-process run cache (DESIGN.md \u{a7}14)."
     );
     std::process::exit(2);
 }
@@ -89,14 +89,6 @@ fn main() {
         Some(j) => j.parse().unwrap_or_else(|_| usage()),
         None => wsg_sim::pool::default_jobs(),
     };
-    // `--shards N` partitions each individual run into N tile-group shards
-    // under the conservative-lookahead drive (DESIGN.md §15). Like --jobs,
-    // it never changes a byte of output — `figure ... --shards 4` is cmp'd
-    // against the serial golden in ci.sh.
-    let shards: usize = match flag(&args, "--shards") {
-        Some(s) => s.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| usage()),
-        None => 1,
-    };
     // `--no-cache` disables run deduplication (every point simulates
     // fresh, like the pre-sweep serial harness); output is identical either
     // way, so this exists only for cache-speedup measurements.
@@ -105,7 +97,6 @@ fn main() {
     } else {
         SweepCtx::new(jobs)
     };
-    let ctx = ctx.with_shards(shards);
     // `--progress` reports live sweep progress on stderr; the deterministic
     // stdout report is unaffected.
     let ctx = if args.iter().any(|a| a == "--progress") {
@@ -141,7 +132,7 @@ fn main() {
                 .get(2)
                 .and_then(|s| parse_policy(s))
                 .unwrap_or_else(|| usage());
-            cmd_run(b, p, scale, seed, shards);
+            cmd_run(b, p, scale, seed);
         }
         "compare" => {
             let b = args
@@ -279,8 +270,8 @@ fn cmd_list() {
     );
 }
 
-fn cmd_run(b: BenchmarkId, p: PolicyKind, scale: Scale, seed: u64, shards: usize) {
-    let m = run_with_shards(&RunConfig::new(b, scale, p).with_seed(seed), shards);
+fn cmd_run(b: BenchmarkId, p: PolicyKind, scale: Scale, seed: u64) {
+    let m = run(&RunConfig::new(b, scale, p).with_seed(seed));
     println!("{b} under {p} (seed {seed}):");
     println!("  execution time      : {} cycles", m.total_cycles);
     println!("  memory ops          : {}", m.ops_completed);
@@ -546,15 +537,8 @@ fn sweep_summary(ctx: &SweepCtx) -> String {
         Some(_) => format!(", {} disk hit(s)", ctx.disk_hits()),
         None => String::new(),
     };
-    // The shard clause appears only for --shards > 1, so the line is
-    // unchanged (and grep-stable) for existing invocations.
-    let sharding = if ctx.shards() > 1 {
-        format!(", {} shard(s)/run", ctx.shards())
-    } else {
-        String::new()
-    };
     format!(
-        "[sweep] {misses} simulation(s) executed, {hits} cache hit(s){disk}, {} worker(s){sharding}",
+        "[sweep] {misses} simulation(s) executed, {hits} cache hit(s){disk}, {} worker(s)",
         ctx.jobs()
     )
 }
@@ -636,17 +620,16 @@ fn cmd_figure(ctx: &SweepCtx, name: &str, scale: Scale, perf_out: Option<&str>) 
         } else {
             0.0
         };
-        // Perf-artifact schema v2 (DESIGN.md §16): a version stamp first,
-        // then the run identity (figure / jobs / shards) always present, so
-        // trajectory tooling never has to infer the drive shape from which
-        // keys happen to exist.
+        // Perf-artifact schema v3 (DESIGN.md §16): a version stamp first,
+        // then the run identity (figure / jobs) always present, so trajectory
+        // tooling never has to infer the run shape from which keys happen to
+        // exist.
         let json = format!(
-            "{{\n  \"schema\": 2,\n  \"figure\": \"{name}\",\n  \"jobs\": {jobs},\n  \
-             \"shards\": {shards},\n  \"wall_seconds\": {wall_seconds:.3},\n  \
+            "{{\n  \"schema\": 3,\n  \"figure\": \"{name}\",\n  \"jobs\": {jobs},\n  \
+             \"wall_seconds\": {wall_seconds:.3},\n  \
              \"total_events\": {total_events},\n  \"events_per_sec\": {events_per_sec:.0},\n  \
              \"simulations\": {misses},\n  \"cache_hits\": {hits}\n}}\n",
-            jobs = ctx.jobs(),
-            shards = ctx.shards()
+            jobs = ctx.jobs()
         );
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("figure --perf-out: cannot write {path}: {e}");

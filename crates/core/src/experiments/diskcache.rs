@@ -22,9 +22,12 @@
 //!   and the full metrics parse; any failure is a miss and the damaged entry
 //!   is deleted. `tests/disk_cache.rs` truncates and corrupts entries to
 //!   prove it.
-//! * **Writes are atomic.** Entries are written to a temp file and
-//!   `rename`d into place, so a concurrent reader sees the old entry, no
-//!   entry, or the complete new entry — never a torn one.
+//! * **Writes are atomic.** Entries are written to a temp file
+//!   (`.tmp-<pid>-<seq>`) and `rename`d into place, so a concurrent reader
+//!   sees the old entry, no entry, or the complete new entry — never a
+//!   torn one. A writer killed before its rename leaves the temp file
+//!   behind; the next [`DiskCache::open`] removes it once `<pid>` is no
+//!   longer a live process.
 //! * **Versioned.** The entry header carries
 //!   [`crate::metrics::METRICS_CONTRACT_VERSION`]; bumping it (or the
 //!   fingerprint version, which changes the key) invalidates stale entries.
@@ -128,8 +131,13 @@ impl DiskCache {
     /// Opens (creating if necessary) the cache directory. `budget`, when
     /// set, caps the total size in bytes of all `.run` entries; inserts
     /// evict least-recently-used entries to stay under it.
+    ///
+    /// Temp files orphaned by writers that died before their rename are
+    /// removed here. A temp file whose writer is still alive is left alone:
+    /// two processes may share one store.
     pub fn open(dir: &Path, budget: Option<u64>) -> std::io::Result<Self> {
         fs::create_dir_all(dir)?;
+        reclaim_orphaned_temps(dir);
         Ok(Self {
             dir: dir.to_path_buf(),
             budget,
@@ -323,6 +331,36 @@ impl DiskCache {
     }
 }
 
+/// Removes every `.tmp-<pid>-<seq>` file in `dir` whose `<pid>` is not a
+/// live process. Best-effort, like every other store write.
+fn reclaim_orphaned_temps(dir: &Path) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(pid) = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(".tmp-"))
+            .and_then(|rest| rest.split_once('-'))
+            .and_then(|(pid, _)| pid.parse::<u32>().ok())
+        else {
+            continue;
+        };
+        if !pid_alive(pid) {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
+}
+
+/// Whether process `pid` is alive. Linux lists every live process under
+/// `/proc`; without `/proc` the answer is always "alive", so a temp file is
+/// only reclaimed when its writer is known to be gone.
+fn pid_alive(pid: u32) -> bool {
+    let proc = Path::new("/proc");
+    !proc.is_dir() || proc.join(pid.to_string()).exists()
+}
+
 fn stamp_path(entry: &Path) -> PathBuf {
     entry.with_extension("atime")
 }
@@ -417,6 +455,26 @@ mod tests {
         m.iommu_reuse.touch(cycles);
         m.iommu_reuse.touch(cycles);
         m
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn open_reclaims_temp_files_of_dead_writers_only() {
+        let dir = tmpdir("orphans");
+        fs::create_dir_all(&dir).unwrap();
+        // A reaped child's pid names a writer that can no longer rename.
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let dead = child.id();
+        child.wait().unwrap();
+        let orphan = dir.join(format!(".tmp-{dead}-0"));
+        let live = dir.join(format!(".tmp-{}-7", std::process::id()));
+        fs::write(&orphan, b"torn entry").unwrap();
+        fs::write(&live, b"write in flight").unwrap();
+        let cache = DiskCache::open(&dir, None).unwrap();
+        assert!(!orphan.exists(), "dead writer's temp file survived open");
+        assert!(live.exists(), "live writer's temp file was removed");
+        assert!(cache.is_empty());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This module is the ops spine of the daemon: an allocation-light registry
 //! of request-lifecycle latency histograms, serving gauges, cache counters,
-//! and engine-side drive counters, exposed three ways:
+//! and the engine's `selfprof` phase timings, exposed three ways:
 //!
 //! * the `metrics` wire op ([`crate::serve::proto`]) returns
 //!   [`OpsRegistry::snapshot_json`] as one canonical JSON line;
@@ -25,14 +25,14 @@
 //!   [`OpsRegistry`], so tests and embedded daemons never share request
 //!   counters and the reconciliation invariant (`submitted == sum of tier
 //!   counts` at quiescence) holds per instance.
-//! * **Process-global** — engine code (the sharded drive, the `selfprof`
-//!   phase timer) has no daemon handle, so its counters accumulate on
-//!   [`engine()`] and every snapshot includes them.
+//! * **Process-global** — engine code (the `selfprof` phase timer) has no
+//!   daemon handle, so its timings accumulate in one process-wide sink and
+//!   every snapshot includes them.
 
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::experiments::DiskCacheStats;
 use crate::serve::json::Json;
@@ -101,112 +101,42 @@ pub struct TierStats {
     pub total_us: LogHistogram,
 }
 
-/// Cumulative engine-side shard-drive counters (see
-/// [`wsg_sim::shard::ShardStats`] for per-run semantics).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardCounters {
-    /// Sharded runs recorded.
-    pub runs: u64,
-    /// Lookahead windows crossed (barriers executed).
-    pub windows: u64,
-    /// Events delivered through the merge.
-    pub delivered: u64,
-    /// Events routed in.
-    pub routed: u64,
-    /// Events that crossed a shard boundary.
-    pub cross: u64,
-    /// Batches handed out by the merge.
-    pub batches: u64,
-}
-
-impl ShardCounters {
-    /// One-line rendering for the `WSG_SHARD_STATS` stderr convenience.
-    pub fn to_line(&self) -> String {
-        format!(
-            "runs={} windows={} delivered={} routed={} cross={} batches={}",
-            self.runs, self.windows, self.delivered, self.routed, self.cross, self.batches
-        )
-    }
-}
-
 /// Cumulative `--features selfprof` phase timings, in host nanoseconds.
-/// Phases partition the hot loop: *dispatch* (event extraction: bucket
-/// drain or batch fetch), *merge* (sharded-drive barrier merge inside
-/// `next_batch`), and *handler* (event handler execution, split per shard
-/// under the sharded drive; index 0 holds everything under the serial
-/// drive).
+/// Phases partition the hot loop: *dispatch* (event extraction: one
+/// calendar-bucket drain) and *handler* (event handler execution).
 #[cfg(feature = "selfprof")]
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SelfProf {
     /// Runs that recorded phase timings.
     pub runs: u64,
     /// Nanoseconds extracting runnable events.
     pub dispatch_nanos: u64,
-    /// Nanoseconds in the sharded barrier merge (0 under the serial drive).
-    pub merge_nanos: u64,
-    /// Nanoseconds executing handlers, indexed by shard.
-    pub handler_nanos: Vec<u64>,
+    /// Nanoseconds executing handlers.
+    pub handler_nanos: u64,
 }
 
-/// Engine-side counters shared process-wide — simulation code has no daemon
-/// handle, so these accumulate globally (see the module docs).
-#[derive(Debug, Default)]
-pub struct EngineCounters {
-    shard: Mutex<ShardCounters>,
-    #[cfg(feature = "selfprof")]
-    selfprof: Mutex<SelfProf>,
+/// The process-global phase-timing sink: simulation code has no daemon
+/// handle, so timings accumulate here (see the module docs).
+#[cfg(feature = "selfprof")]
+static SELFPROF: Mutex<SelfProf> = Mutex::new(SelfProf {
+    runs: 0,
+    dispatch_nanos: 0,
+    handler_nanos: 0,
+});
+
+/// Folds one run's phase timings into the process-global profile.
+#[cfg(feature = "selfprof")]
+pub fn record_selfprof(dispatch_nanos: u64, handler_nanos: u64) {
+    let mut p = SELFPROF.lock().expect("selfprof poisoned");
+    p.runs = p.runs.saturating_add(1);
+    p.dispatch_nanos = p.dispatch_nanos.saturating_add(dispatch_nanos);
+    p.handler_nanos = p.handler_nanos.saturating_add(handler_nanos);
 }
 
-impl EngineCounters {
-    /// Folds one sharded run's drive stats into the cumulative counters.
-    pub fn record_shard_run(
-        &self,
-        windows: u64,
-        delivered: u64,
-        routed: u64,
-        cross: u64,
-        batches: u64,
-    ) {
-        let mut s = self.shard.lock().expect("shard counters poisoned");
-        s.runs = s.runs.saturating_add(1);
-        s.windows = s.windows.saturating_add(windows);
-        s.delivered = s.delivered.saturating_add(delivered);
-        s.routed = s.routed.saturating_add(routed);
-        s.cross = s.cross.saturating_add(cross);
-        s.batches = s.batches.saturating_add(batches);
-    }
-
-    /// Current cumulative shard counters.
-    pub fn shard_counters(&self) -> ShardCounters {
-        *self.shard.lock().expect("shard counters poisoned")
-    }
-
-    /// Folds one run's phase timings into the cumulative profile.
-    #[cfg(feature = "selfprof")]
-    pub fn record_selfprof(&self, dispatch_nanos: u64, merge_nanos: u64, handler_nanos: &[u64]) {
-        let mut p = self.selfprof.lock().expect("selfprof poisoned");
-        p.runs = p.runs.saturating_add(1);
-        p.dispatch_nanos = p.dispatch_nanos.saturating_add(dispatch_nanos);
-        p.merge_nanos = p.merge_nanos.saturating_add(merge_nanos);
-        if p.handler_nanos.len() < handler_nanos.len() {
-            p.handler_nanos.resize(handler_nanos.len(), 0);
-        }
-        for (acc, &n) in p.handler_nanos.iter_mut().zip(handler_nanos.iter()) {
-            *acc = acc.saturating_add(n);
-        }
-    }
-
-    /// Current cumulative phase timings.
-    #[cfg(feature = "selfprof")]
-    pub fn selfprof(&self) -> SelfProf {
-        self.selfprof.lock().expect("selfprof poisoned").clone()
-    }
-}
-
-/// The process-global engine counter sink.
-pub fn engine() -> &'static EngineCounters {
-    static ENGINE: OnceLock<EngineCounters> = OnceLock::new();
-    ENGINE.get_or_init(EngineCounters::default)
+/// Current process-global phase timings.
+#[cfg(feature = "selfprof")]
+pub fn selfprof() -> SelfProf {
+    *SELFPROF.lock().expect("selfprof poisoned")
 }
 
 /// Live serving gauges, sampled by the daemon under its scheduler lock at
@@ -295,8 +225,9 @@ impl OpsRegistry {
     }
 
     /// Builds the canonical JSON snapshot served by the `metrics` wire op
-    /// and written by `--metrics-out`. Engine counters come from
-    /// [`engine()`]; gauges are whatever the caller just sampled.
+    /// and written by `--metrics-out`. Phase timings come from the
+    /// process-global `selfprof` sink; gauges are whatever the caller just
+    /// sampled.
     pub fn snapshot_json(&self, gauges: &GaugeSample) -> Json {
         let tiers = self.lifecycle();
         let completed: u64 = tiers.iter().map(|t| t.count).sum();
@@ -368,26 +299,14 @@ impl OpsRegistry {
             ("disk".into(), disk),
         ]);
 
-        let s = engine().shard_counters();
-        let shard = Json::Obj(vec![
-            ("runs".into(), Json::U64(s.runs)),
-            ("windows".into(), Json::U64(s.windows)),
-            ("delivered".into(), Json::U64(s.delivered)),
-            ("routed".into(), Json::U64(s.routed)),
-            ("cross".into(), Json::U64(s.cross)),
-            ("batches".into(), Json::U64(s.batches)),
-        ]);
-
-        let mut members = vec![
+        Json::Obj(vec![
             ("type".to_string(), Json::Str("metrics".into())),
-            ("schema".to_string(), Json::U64(1)),
+            ("schema".to_string(), Json::U64(2)),
             ("requests".to_string(), requests),
             ("gauges".to_string(), gauges_json),
             ("cache".to_string(), cache),
-            ("shard".to_string(), shard),
-        ];
-        members.push(("selfprof".to_string(), selfprof_json()));
-        Json::Obj(members)
+            ("selfprof".to_string(), selfprof_json()),
+        ])
     }
 
     /// Renders the snapshot as Prometheus text exposition (one gauge/counter
@@ -467,32 +386,15 @@ impl OpsRegistry {
                 out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
             }
         }
-        let s = engine().shard_counters();
-        for (name, v) in [
-            ("hdpat_shard_runs", s.runs),
-            ("hdpat_shard_windows", s.windows),
-            ("hdpat_shard_delivered", s.delivered),
-            ("hdpat_shard_routed", s.routed),
-            ("hdpat_shard_cross", s.cross),
-            ("hdpat_shard_batches", s.batches),
-        ] {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        }
         #[cfg(feature = "selfprof")]
         {
-            let p = engine().selfprof();
+            let p = selfprof();
             for (name, v) in [
                 ("hdpat_selfprof_runs", p.runs),
                 ("hdpat_selfprof_dispatch_nanos", p.dispatch_nanos),
-                ("hdpat_selfprof_merge_nanos", p.merge_nanos),
+                ("hdpat_selfprof_handler_nanos", p.handler_nanos),
             ] {
                 out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-            }
-            out.push_str("# TYPE hdpat_selfprof_handler_nanos counter\n");
-            for (shard, &n) in p.handler_nanos.iter().enumerate() {
-                out.push_str(&format!(
-                    "hdpat_selfprof_handler_nanos{{shard=\"{shard}\"}} {n}\n"
-                ));
             }
         }
         out
@@ -523,15 +425,11 @@ fn histogram_json(h: &LogHistogram) -> Json {
 
 #[cfg(feature = "selfprof")]
 fn selfprof_json() -> Json {
-    let p = engine().selfprof();
+    let p = selfprof();
     Json::Obj(vec![
         ("runs".into(), Json::U64(p.runs)),
         ("dispatch_nanos".into(), Json::U64(p.dispatch_nanos)),
-        ("merge_nanos".into(), Json::U64(p.merge_nanos)),
-        (
-            "handler_nanos".into(),
-            Json::Arr(p.handler_nanos.iter().map(|&n| Json::U64(n)).collect()),
-        ),
+        ("handler_nanos".into(), Json::U64(p.handler_nanos)),
     ])
 }
 

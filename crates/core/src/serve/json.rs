@@ -49,6 +49,7 @@ impl Json {
     /// error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -167,6 +168,7 @@ fn write_escaped(s: &mut String, text: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -316,15 +318,19 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is &str, so this is
-                    // always well-formed).
+                    // Copy the whole run up to the next `"` or `\` as one
+                    // slice. Both delimiters are ASCII, so they never occur
+                    // inside a multibyte sequence and the run ends on a char
+                    // boundary.
                     let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let Some(c) = text.chars().next() else {
-                        return Err("unterminated string".to_string());
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let end = self.pos + run;
+                    let chunk = self.text.get(self.pos..end).ok_or("invalid UTF-8")?;
+                    out.push_str(chunk);
+                    self.pos = end;
                 }
             }
         }
@@ -353,12 +359,17 @@ impl Parser<'_> {
                 return Ok(Json::U64(n));
             }
             if let Ok(n) = text.parse::<i64>() {
-                return Ok(Json::I64(n));
+                // `-0` is the one signed spelling of a non-negative integer.
+                return Ok(u64::try_from(n).map_or(Json::I64(n), Json::U64));
             }
         }
+        // A literal beyond f64 range has no JSON rendering (the writer would
+        // emit `null`), so it is malformed rather than infinite.
         text.parse::<f64>()
+            .ok()
+            .filter(|x| x.is_finite())
             .map(Json::F64)
-            .map_err(|_| format!("malformed number `{text}`"))
+            .ok_or_else(|| format!("malformed number `{text}`"))
     }
 }
 
@@ -435,5 +446,30 @@ mod tests {
             Json::parse(&line).unwrap(),
             Json::Str("a\u{0001}b\tc".into())
         );
+    }
+
+    #[test]
+    fn multibyte_escapes_and_megabyte_strings_round_trip() {
+        // Multibyte scalars of every UTF-8 width, next to escapes, must
+        // survive the run-at-a-time string scan byte for byte.
+        let mixed = "añ€😀\"quote\\slash\n\u{0001}é😀";
+        let line = Json::Str(mixed.into()).to_line();
+        assert_eq!(Json::parse(&line).unwrap(), Json::Str(mixed.into()));
+        assert_eq!(
+            Json::parse(r#""\u00e9\/\"é""#).unwrap(),
+            Json::Str("é/\"é".into())
+        );
+        // A >= 1 MB string (the size of a full-scale result line) with
+        // periodic escapes parses in linear time and round-trips.
+        let big: String = "wafer-€-😀-\"\\\n".repeat(60_000);
+        assert!(big.len() >= 1_000_000);
+        let doc = Json::Obj(vec![("payload".into(), Json::Str(big.clone()))]);
+        let line = doc.to_line();
+        let parsed = Json::parse(&line).unwrap();
+        assert_eq!(
+            parsed.get("payload").and_then(Json::as_str),
+            Some(big.as_str())
+        );
+        assert_eq!(parsed.to_line(), line);
     }
 }

@@ -113,7 +113,7 @@ pub enum Request {
     CacheStats,
     /// Report the full operational metrics snapshot ([`crate::ops`]):
     /// request-lifecycle latency histograms per outcome tier, serving
-    /// gauges, cache counters, and engine-side drive counters.
+    /// gauges, cache counters, and `selfprof` phase timings.
     Metrics,
     /// Stop accepting work, drain, and exit.
     Shutdown,
@@ -648,8 +648,7 @@ pub fn protocol_examples() -> String {
         "metrics",
         "The full operational snapshot: per-tier request-lifecycle latency \
          histograms (log-scaled microseconds, `[lower_bound, count]` \
-         buckets), serving gauges, cache state, and engine drive counters. \
-         The same snapshot backs `hdpat-sim serve --metrics-out`; \
+         buckets), serving gauges, and cache state. The same snapshot backs `hdpat-sim serve --metrics-out`; \
          `selfprof` is null unless the daemon was built with `--features \
          selfprof`. At quiescence the tier counts sum to `submitted`.",
         &[
@@ -696,8 +695,8 @@ pub fn protocol_examples() -> String {
 
 /// A deterministic `metrics` reply for PROTOCOL.md, built through the real
 /// snapshot path: 70 submits resolving to 58 disk hits and 12 simulations,
-/// with plausible fixed latencies. Engine counters read the process-global
-/// sink, which is untouched (all zero) in a `regen-protocol` invocation.
+/// with plausible fixed latencies. The `selfprof` member is null because
+/// `regen-protocol` runs from a build without that feature.
 fn example_metrics_line() -> String {
     use crate::ops::{DiskGauges, GaugeSample, OpsRegistry, Tier};
     let reg = OpsRegistry::new();

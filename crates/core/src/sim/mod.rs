@@ -11,13 +11,9 @@
 //!   proactive delivery and selective push.
 //! * `data` — the post-translation data access (caches, HBM, remote
 //!   cacheline fetches).
-//! * `shard` — the tile-group sharded drive with conservative lookahead
-//!   ([`Simulation::run_with_shards`], DESIGN.md §15); byte-identical to
-//!   the serial drive by construction.
 
 mod data;
 mod iommu;
-mod shard;
 mod translate;
 
 use std::collections::VecDeque;
@@ -44,8 +40,7 @@ pub(crate) const PROBE_OVERHEAD: Cycle = 30;
 /// Aggregation window of the IOMMU time series.
 pub(crate) const TIME_WINDOW: Cycle = 10_000;
 /// Safety cap on the event count: blowing past it indicates a scheduling
-/// bug (an event storm), not a big workload. Checked by both the serial and
-/// the sharded drive in debug builds.
+/// bug (an event storm), not a big workload. Checked in debug builds.
 pub(crate) const EVENT_CAP: u64 = 2_000_000_000;
 
 /// Index into the in-flight request table.
@@ -178,60 +173,54 @@ pub(crate) enum Event {
 /// call [`Simulation::run`].
 #[derive(Debug)]
 pub struct Simulation {
-    pub(crate) cfg: SystemConfig,        // shard: wafer-global, frozen
-    pub(crate) policy: PolicyKind,       // shard: wafer-global, frozen
-    pub(crate) space: AddressSpace,      // shard: wafer-global, frozen
-    pub(crate) queue: EventQueue<Event>, // shard: wafer-global
-    pub(crate) mesh: Mesh,               // shard: wafer-global
-    pub(crate) gpms: Vec<GpmState>,      // shard: gpm-local
-    pub(crate) iommu: IommuState,        // shard: wafer-global
-    pub(crate) reqs: Vec<Request>,       // shard: wafer-global
-    pub(crate) metrics: Metrics,         // shard: wafer-global
-    pub(crate) concentric: Option<ConcentricMap>, // shard: wafer-global, frozen
+    pub(crate) cfg: SystemConfig,
+    pub(crate) policy: PolicyKind,
+    pub(crate) space: AddressSpace,
+    pub(crate) queue: EventQueue<Event>,
+    pub(crate) mesh: Mesh,
+    pub(crate) gpms: Vec<GpmState>,
+    pub(crate) iommu: IommuState,
+    pub(crate) reqs: Vec<Request>,
+    pub(crate) metrics: Metrics,
+    pub(crate) concentric: Option<ConcentricMap>,
     /// Per-GPM serial probe chains, precomputed per policy.
-    pub(crate) chains: Vec<Vec<u32>>, // shard: wafer-global, frozen
-    pub(crate) last_iommu_vpn: Option<Vpn>, // shard: wafer-global
-    /// Sharded-drive routing state ([`shard::ShardRoute`]); `None` under
-    /// the serial drive. When present, [`Simulation::schedule`] routes
-    /// events straight into the shard queues instead of `queue`, skipping
-    /// the per-event outbox round-trip.
-    pub(crate) shard_route: Option<Box<shard::ShardRoute>>, // shard: wafer-global, drive infrastructure
+    pub(crate) chains: Vec<Vec<u32>>,
+    pub(crate) last_iommu_vpn: Option<Vpn>,
     /// Reusable buffer for walker-queue revisit drains, taken and returned
     /// around each [`wsg_xlat::WalkerPool::drain_matching_into`] call so the
     /// hot dispatch path never allocates for coalesced walks.
-    pub(crate) walk_scratch: Vec<ReqId>, // shard: wafer-global, drive infrastructure
+    pub(crate) walk_scratch: Vec<ReqId>,
     /// `WSG_TRACE_REQ` debug hook, resolved once at construction so the
     /// dispatch loop never touches the process environment per event.
-    pub(crate) trace_req: Option<ReqId>, // shard: wafer-global, frozen
+    pub(crate) trace_req: Option<ReqId>,
     /// Optional page-migration extension (see [`crate::migration`]).
-    pub(crate) migration: Option<MigrationConfig>, // shard: wafer-global, frozen
+    pub(crate) migration: Option<MigrationConfig>,
     /// Dynamic home overrides for migrated pages (checked before the static
     /// block placement).
-    pub(crate) home_override: HashIndex<u32>, // shard: wafer-global
+    pub(crate) home_override: HashIndex<u32>,
     /// Per-page (last remote consumer, consecutive-access streak).
-    pub(crate) access_streak: HashIndex<(u32, u32)>, // shard: wafer-global
+    pub(crate) access_streak: HashIndex<(u32, u32)>,
     /// The runtime invariant auditor observing the queue, mesh, and every
     /// translation structure (`audit` feature only).
     #[cfg(feature = "audit")]
-    // shard: wafer-global
     // lint:allow(shared-mut): the auditor is a sanctioned sink (DESIGN.md
     // §13); the engine root handle shares it with every audited structure.
     pub(crate) auditor: std::rc::Rc<std::cell::RefCell<wsg_sim::audit::ConservationAuditor>>,
     /// Request-lifecycle trace sink handle (`trace` feature only); attached
     /// with [`Simulation::set_tracer`], absent by default.
     #[cfg(feature = "trace")]
-    pub(crate) tracer: Option<wsg_sim::trace::TraceHandle>, // shard: wafer-global
+    pub(crate) tracer: Option<wsg_sim::trace::TraceHandle>,
     /// Telemetry flight-recorder handle (`telemetry` feature only);
     /// attached with [`Simulation::set_telemetry`], absent by default.
     #[cfg(feature = "telemetry")]
-    pub(crate) telemetry: Option<wsg_sim::telemetry::TelemetryHandle>, // shard: wafer-global
+    pub(crate) telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
     /// Simulated time of the next telemetry epoch boundary; `dispatch`
     /// publishes and samples when event time reaches it.
     #[cfg(feature = "telemetry")]
-    pub(crate) telemetry_next: Cycle, // shard: wafer-global
+    pub(crate) telemetry_next: Cycle,
     /// First id of the engine-level telemetry counters.
     #[cfg(feature = "telemetry")]
-    pub(crate) telemetry_base: usize, // shard: wafer-global
+    pub(crate) telemetry_base: usize,
 }
 
 impl Simulation {
@@ -375,7 +364,6 @@ impl Simulation {
             concentric,
             chains,
             last_iommu_vpn: None,
-            shard_route: None,
             walk_scratch: Vec::new(),
             trace_req: std::env::var("WSG_TRACE_REQ")
                 .ok()
@@ -676,7 +664,7 @@ impl Simulation {
         let (mut prof_dispatch, mut prof_handler) = (0u64, 0u64);
         loop {
             #[cfg(feature = "selfprof")]
-            // selfprof phase timer; host-time buckets land in `ops::engine()`
+            // selfprof phase timer; host-time buckets land in the ops sink
             // only, never in simulation state.
             let d0 = std::time::Instant::now(); // lint:allow(wallclock): selfprof phase timer, ops registry only
             let drained = self.queue.drain_bucket(&mut batch);
@@ -699,21 +687,16 @@ impl Simulation {
             }
             debug_assert!(self.queue.total_popped() < EVENT_CAP, "event explosion");
         }
-        // The serial drive has no barrier-merge phase and one logical shard:
-        // handler time lands in bucket 0, merge stays zero.
         #[cfg(feature = "selfprof")]
-        crate::ops::engine().record_selfprof(prof_dispatch, 0, &[prof_handler]);
-        let events = self.queue.total_popped();
-        self.finish(wall_start, events)
+        crate::ops::record_selfprof(prof_dispatch, prof_handler);
+        self.finish(wall_start)
     }
 
-    /// End-of-run checks and metrics finalization, shared verbatim between
-    /// [`Simulation::run`] and the sharded drive
-    /// ([`Simulation::run_with_shards`]) so the two paths cannot drift.
-    /// `events` is the delivered event count — the engine queue's popped
-    /// total under the serial drive, the shard set's under the sharded one
-    /// (whose events never transit the engine queue).
-    fn finish(mut self, wall_start: std::time::Instant, events: u64) -> Metrics {
+    /// End-of-run checks and metrics finalization. Kept out of line: with
+    /// this cold code inlined into [`Simulation::run`], the dispatch loop
+    /// measured slower.
+    #[inline(never)]
+    fn finish(mut self, wall_start: std::time::Instant) -> Metrics {
         // All CUs must have drained; anything else is a lost-wakeup bug.
         for (g, gpm) in self.gpms.iter().enumerate() {
             for (c, cu) in gpm.cus.iter().enumerate() {
@@ -771,7 +754,7 @@ impl Simulation {
             tel.with(|s| s.finalize(end));
         }
         self.metrics.total_cycles = self.metrics.gpm_finish.iter().copied().max().unwrap_or(0);
-        self.metrics.sim_events = events;
+        self.metrics.sim_events = self.queue.total_popped();
         self.metrics.host_wall_nanos = wall_start.elapsed().as_nanos() as u64;
         self.metrics.noc_bytes = self.mesh.total_bytes();
         self.metrics.noc_hop_bytes = self.mesh.total_hop_bytes();
@@ -864,23 +847,11 @@ impl Simulation {
         }
     }
 
-    /// Schedules `ev` to fire at absolute cycle `time` — into the engine
-    /// queue under the serial drive, or straight into the owning shard's
-    /// queue under the sharded drive. Every handler goes through this seam;
-    /// the direct routing keeps the sharded drive from paying a per-event
-    /// push/pop round-trip through an intermediate outbox. Routing in push
-    /// order assigns the same delivery order as the serial queue's
-    /// `(time, seq)` order: stamps only break ties *within* a timestamp,
-    /// and same-time pushes of one handler arrive in push order either way.
+    /// Schedules `ev` to fire at absolute cycle `time`. Every handler goes
+    /// through this seam.
     #[inline]
     pub(crate) fn schedule(&mut self, time: Cycle, ev: Event) {
-        match &mut self.shard_route {
-            None => self.queue.push(time, ev),
-            Some(r) => {
-                let dest = r.map.shard_of(&self.reqs, &self.chains, &ev);
-                r.set.route(dest, time, ev);
-            }
-        }
+        self.queue.push(time, ev);
     }
 
     /// Sends `ev` as a packet of `bytes` from tile `from` to tile `to`,

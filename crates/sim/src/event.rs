@@ -435,30 +435,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Re-anchors an **empty** queue's clock (and ring base) at `t`.
-    ///
-    /// This exists for the sharded drive (DESIGN.md §15), which uses one
-    /// `EventQueue` as a per-dispatch *outbox*: the coordinator sets the
-    /// clock to the delivered event's timestamp, dispatches the handler
-    /// (whose pushes then see the same `now` as under serial execution —
-    /// including the attached auditor), and drains the outbox into the
-    /// shard queues. Draining advances `now` past `t`, so the next anchor
-    /// may move the clock in either direction; that is only sound because
-    /// the queue holds no entries, which is asserted.
-    ///
-    /// # Panics
-    ///
-    /// Panics — in all build profiles — if the queue is not empty.
-    pub fn set_now(&mut self, t: Cycle) {
-        assert!(
-            self.is_empty(),
-            "set_now on a non-empty queue ({} pending)",
-            self.len()
-        );
-        self.now = t;
-        self.base = t;
-    }
-
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
         self.ring_len + self.overflow.len() + self.backlog.len()
@@ -624,32 +600,6 @@ mod tests {
         q.push(9, ());
         assert_eq!(q.peek_time(), Some(9));
         assert_eq!(q.now(), 0);
-    }
-
-    #[test]
-    fn set_now_reanchors_an_empty_queue() {
-        let mut q = EventQueue::new();
-        q.push(10, "a");
-        q.push(40, "b");
-        assert_eq!(q.pop(), Some((10, "a")));
-        assert_eq!(q.pop(), Some((40, "b")));
-        // Outbox pattern: the drain advanced `now` to 40; the coordinator
-        // re-anchors at an earlier delivery time and keeps scheduling.
-        q.set_now(12);
-        assert_eq!(q.now(), 12);
-        q.push(12, "c");
-        q.push(13, "d");
-        assert_eq!(q.pop(), Some((12, "c")));
-        assert_eq!(q.pop(), Some((13, "d")));
-        assert_eq!(q.drain_check(), (4, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "set_now on a non-empty queue")]
-    fn set_now_rejects_pending_events() {
-        let mut q = EventQueue::new();
-        q.push(1, ());
-        q.set_now(5);
     }
 
     #[test]

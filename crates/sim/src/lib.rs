@@ -20,12 +20,7 @@
 //!   workload generators.
 //! * The [`pool`] module — a scoped worker pool for fanning independent,
 //!   fully seeded simulations across threads without sacrificing
-//!   reproducibility (results come back in input order), plus the
-//!   [`pool::ShardBarrier`] lookahead barrier with panic propagation.
-//! * The [`shard`] module — per-shard calendar queues and the
-//!   conservative-lookahead window coordinator that delivers a partitioned
-//!   event population in the exact serial `(time, stamp)` order
-//!   (DESIGN.md §15).
+//!   reproducibility (results come back in input order).
 //!
 //! # Example
 //!
@@ -50,7 +45,6 @@ pub mod index;
 pub mod pool;
 pub mod rng;
 pub mod server;
-pub mod shard;
 pub mod stats;
 #[cfg(feature = "telemetry")]
 pub mod telemetry;
@@ -62,5 +56,4 @@ pub use event::EventQueue;
 pub use index::HashIndex;
 pub use rng::SimRng;
 pub use server::ServerPool;
-pub use shard::{ShardQueue, ShardSet, ShardStats};
 pub use time::Cycle;

@@ -61,7 +61,7 @@ impl Histogram {
     }
 
     /// Adds every sample of `other` into `self` (bucket-wise, saturating).
-    /// Used to combine per-worker or per-shard histograms into one view.
+    /// Used to combine per-worker histograms into one view.
     ///
     /// # Panics
     ///

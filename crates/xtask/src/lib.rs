@@ -1,9 +1,7 @@
-//! Determinism and shard-safety lint pass for the HDPAT workspace
-//! (`cargo run -p xtask -- lint`), plus the `xtask analyze` shard-safety
-//! report (see [`analyze`]).
+//! Determinism lint pass for the HDPAT workspace
+//! (`cargo run -p xtask -- lint`).
 //!
-//! Ten rules, documented in DESIGN.md §13 ("Static analysis &
-//! shard-safety"):
+//! Ten rules, documented in DESIGN.md §13 ("Static analysis"):
 //!
 //! * `map-iter` (d1) — no iteration over `HashMap`/`HashSet` in library code.
 //!   Hash iteration order depends on `RandomState`, so any model behaviour or
@@ -37,9 +35,8 @@
 //!   a BTree collection; see DESIGN.md §11.
 //! * `shared-mut` (d7) — no shared interior mutability (`Rc<RefCell<..>>`,
 //!   `Cell<..>`, `static mut`, `thread_local!`) in simulator-crate library
-//!   code. Every such site is state that two shards could reach at once —
-//!   the exact worklist for ROADMAP items 1 (parallel sharding) and 3
-//!   (removing `Rc<RefCell>` from dispatch). The sanctioned homes are the
+//!   code. Every such site is state that two threads could reach at once
+//!   and that pins the engine to one thread. The sanctioned homes are the
 //!   audit/trace/telemetry sinks in `crates/sim` (module-scoped allows) and
 //!   the engine hook fields that hold them in `crates/core/src/sim/mod.rs`.
 //! * `site-registry` (d8) — audit/trace/telemetry site-id registrations are
@@ -72,13 +69,12 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub mod analyze;
 pub mod registry;
 pub mod scope;
 
 use scope::PreSource;
 
-/// The ten determinism/shard-safety rules.
+/// The ten determinism rules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// d1: iteration over a hash-ordered collection.
@@ -1299,7 +1295,7 @@ mod tests {
             "service_us",
             "total_us",
             "dispatch_nanos",
-            "merge_nanos",
+            "handler_nanos",
             "selfprof",
             "stage_latency",
         ] {

@@ -50,9 +50,7 @@ pub mod prelude {
     pub use hdpat::experiments::run_telemetry_traced;
     #[cfg(feature = "trace")]
     pub use hdpat::experiments::run_traced;
-    pub use hdpat::experiments::{
-        run, run_all, run_with_baseline, run_with_shards, RunCache, RunConfig, SweepCtx,
-    };
+    pub use hdpat::experiments::{run, run_all, run_with_baseline, RunCache, RunConfig, SweepCtx};
     pub use hdpat::policy::{HdpatConfig, PolicyKind};
     pub use hdpat::{Metrics, Resolution, Simulation};
     pub use wsg_gpu::{GpuPreset, SystemConfig, WaferLayout};

@@ -25,24 +25,6 @@ fn same_seed_serializes_byte_identical_metrics() {
 }
 
 #[test]
-fn sharded_runs_are_byte_identical_across_repetitions() {
-    // `--shards N` must be as repeatable as the serial path: the same
-    // sharded point run twice serializes identically, and matches serial
-    // (the full cross-product lives in `tests/equivalence.rs`).
-    for shards in [2, 4] {
-        let cfg = RunConfig::new(BenchmarkId::Spmv, Scale::Unit, PolicyKind::hdpat()).with_seed(7);
-        let first = run_with_shards(&cfg, shards).to_deterministic_string();
-        let second = run_with_shards(&cfg, shards).to_deterministic_string();
-        assert_eq!(first, second, "shards={shards} is not repeatable");
-        assert_eq!(
-            first,
-            metrics_bytes(BenchmarkId::Spmv, PolicyKind::hdpat(), 7),
-            "shards={shards} diverged from serial"
-        );
-    }
-}
-
-#[test]
 fn different_seeds_serialize_differently() {
     // Guards against the serializer degenerating into something constant.
     let a = metrics_bytes(BenchmarkId::Spmv, PolicyKind::Naive, 1);

@@ -1,179 +1,9 @@
-//! The sharded-execution contract (DESIGN.md §15): `--shards N` is purely an
-//! *execution* parameter. For every benchmark, policy, seed and shard count,
-//! [`run_with_shards`] must produce metrics byte-identical to the serial
-//! [`run`] — and with an observability sink attached, the sink's artifacts
-//! must be byte-identical too. The property-based test sweeps random points;
-//! the feature-gated tests pin each sink (the `audit` build exercises the
-//! conservation auditor's invariants *during* the sharded drive simply by
-//! being compiled in).
+//! Behavioral-equivalence properties of the engine's hot structures: the
+//! struct-of-arrays TLB / MSHR / walker-pool planes must match naive
+//! reference models op for op, and the batched event-queue drain must match
+//! per-event pops (DESIGN.md §16).
 
-use hdpat_wafer::prelude::*;
 use proptest::prelude::*;
-
-const BENCHES: [BenchmarkId; 5] = [
-    BenchmarkId::Spmv,
-    BenchmarkId::Km,
-    BenchmarkId::Relu,
-    BenchmarkId::Aes,
-    BenchmarkId::Pr,
-];
-
-fn policies() -> [PolicyKind; 4] {
-    [
-        PolicyKind::Naive,
-        PolicyKind::Distributed,
-        PolicyKind::RouteCache { caching_layers: 2 },
-        PolicyKind::hdpat(),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Random `(benchmark, policy, seed, shards)` points: the sharded drive
-    /// serializes byte-for-byte like the serial one.
-    #[test]
-    fn sharded_runs_match_serial_byte_for_byte(
-        bench_sel in 0usize..BENCHES.len(),
-        policy_sel in 0usize..4,
-        seed in 0u64..1_000,
-        shards_sel in 0usize..2,
-    ) {
-        let shards = [2, 4][shards_sel];
-        let cfg = RunConfig::new(BENCHES[bench_sel], Scale::Unit, policies()[policy_sel])
-            .with_seed(seed);
-        let serial = run(&cfg).to_deterministic_string();
-        let sharded = run_with_shards(&cfg, shards).to_deterministic_string();
-        prop_assert_eq!(serial, sharded, "shards={} diverged from serial", shards);
-    }
-}
-
-#[test]
-fn shard_counts_beyond_the_tile_count_are_clamped_not_broken() {
-    // 7×7 paper wafer = 49 tiles; 64 shards clamp to 49, and 1 is the
-    // serial path by definition.
-    let cfg = RunConfig::new(BenchmarkId::Km, Scale::Unit, PolicyKind::hdpat()).with_seed(7);
-    let serial = run(&cfg).to_deterministic_string();
-    for shards in [1, 49, 64, 1000] {
-        assert_eq!(
-            serial,
-            run_with_shards(&cfg, shards).to_deterministic_string(),
-            "shards={shards} diverged from serial"
-        );
-    }
-}
-
-/// Serial and sharded runs of one config, each with a trace sink attached.
-#[cfg(feature = "trace")]
-fn traced_pair(
-    cfg: &RunConfig,
-    shards: usize,
-) -> [(Metrics, hdpat_wafer::sim::trace::TraceSink); 2] {
-    [false, true].map(|sharded| {
-        let mut sim = Simulation::new(
-            cfg.system.clone(),
-            cfg.policy,
-            cfg.benchmark,
-            cfg.scale,
-            cfg.seed,
-        );
-        let sink = hdpat_wafer::sim::trace::TraceSink::shared();
-        sim.set_tracer(&sink);
-        let metrics = if sharded {
-            sim.run_with_shards(shards)
-        } else {
-            sim.run()
-        };
-        let sink = std::rc::Rc::try_unwrap(sink)
-            .map(|cell| cell.into_inner())
-            .unwrap_or_else(|rc| rc.borrow().clone());
-        (metrics, sink)
-    })
-}
-
-#[cfg(feature = "trace")]
-#[test]
-fn sharded_traces_are_byte_identical_to_serial() {
-    for shards in [2, 4] {
-        let cfg = RunConfig::new(BenchmarkId::Spmv, Scale::Unit, PolicyKind::hdpat()).with_seed(11);
-        let [(sm, ss), (pm, ps)] = traced_pair(&cfg, shards);
-        assert!(!ss.is_empty(), "traced run recorded no events");
-        assert_eq!(sm.to_deterministic_string(), pm.to_deterministic_string());
-        assert_eq!(
-            ss.to_chrome_json(),
-            ps.to_chrome_json(),
-            "shards={shards}: trace JSON diverged"
-        );
-        assert_eq!(ss.stage_csv(), ps.stage_csv());
-    }
-}
-
-/// Serial and sharded runs of one config, each with telemetry attached.
-#[cfg(feature = "telemetry")]
-fn telemetry_pair(
-    cfg: &RunConfig,
-    shards: usize,
-) -> [(Metrics, hdpat_wafer::sim::telemetry::TelemetrySink); 2] {
-    [false, true].map(|sharded| {
-        let mut sim = Simulation::new(
-            cfg.system.clone(),
-            cfg.policy,
-            cfg.benchmark,
-            cfg.scale,
-            cfg.seed,
-        );
-        let sink = hdpat_wafer::sim::telemetry::TelemetrySink::shared(2_000);
-        sim.set_telemetry(&sink);
-        let metrics = if sharded {
-            sim.run_with_shards(shards)
-        } else {
-            sim.run()
-        };
-        let sink = std::rc::Rc::try_unwrap(sink)
-            .map(|cell| cell.into_inner())
-            .unwrap_or_else(|rc| rc.borrow().clone());
-        (metrics, sink)
-    })
-}
-
-#[cfg(feature = "telemetry")]
-#[test]
-fn sharded_telemetry_artifacts_are_byte_identical_to_serial() {
-    for shards in [2, 4] {
-        let cfg = RunConfig::new(BenchmarkId::Km, Scale::Unit, PolicyKind::hdpat()).with_seed(7);
-        let [(sm, ss), (pm, ps)] = telemetry_pair(&cfg, shards);
-        assert!(!ss.is_empty(), "recorded run registered no counters");
-        assert_eq!(sm.to_deterministic_string(), pm.to_deterministic_string());
-        assert_eq!(
-            ss.to_csv(),
-            ps.to_csv(),
-            "shards={shards}: timeline diverged"
-        );
-        assert_eq!(ss.to_json(), ps.to_json());
-        assert_eq!(ss.to_perfetto_json(), ps.to_perfetto_json());
-        match (ss.heatmap(), ps.heatmap()) {
-            (Some(a), Some(b)) => assert_eq!(a.to_csv(), b.to_csv()),
-            (a, b) => panic!(
-                "heatmap presence diverged: serial={} sharded={}",
-                a.is_some(),
-                b.is_some()
-            ),
-        }
-    }
-}
-
-/// With the `audit` feature on, the conservation auditor rides inside every
-/// run; driving the sharded windows under it proves the outbox re-anchoring
-/// never violates event-time monotonicity or queue conservation.
-#[cfg(feature = "audit")]
-#[test]
-fn sharded_runs_satisfy_the_conservation_auditor() {
-    for (bench, seed) in [(BenchmarkId::Spmv, 7), (BenchmarkId::Km, 42)] {
-        let cfg = RunConfig::new(bench, Scale::Unit, PolicyKind::hdpat()).with_seed(seed);
-        let serial = run(&cfg).to_deterministic_string();
-        assert_eq!(serial, run_with_shards(&cfg, 4).to_deterministic_string());
-    }
-}
 
 // ---------------------------------------------------------------------------
 // SoA hot-state models (DESIGN.md §16). The PR-9 struct-of-arrays rework of
@@ -187,7 +17,7 @@ fn sharded_runs_satisfy_the_conservation_auditor() {
 // ---------------------------------------------------------------------------
 
 use hdpat_wafer::mem::{Mshr, MshrOutcome};
-use hdpat_wafer::sim::{Cycle, EventQueue, ShardSet};
+use hdpat_wafer::sim::EventQueue;
 use hdpat_wafer::xlat::{Pfn, SubmitResult, Tlb, TlbConfig, Vpn, WalkerPool};
 
 /// Array-of-structs reference TLB: one `Option<entry>` per way, semantics
@@ -487,7 +317,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Batched delivery equivalence (DESIGN.md §16): a drain-based consumer of
-// either queue must observe exactly the per-pop event stream, for arbitrary
+// the event queue must observe exactly the per-pop event stream, for arbitrary
 // push/pop interleavings — the contract the batched engine dispatch loop
 // rests on.
 // ---------------------------------------------------------------------------
@@ -544,49 +374,5 @@ proptest! {
                 prop_assert_eq!(&got, expected);
             }
         }
-    }
-
-    /// [`ShardSet::next_batch`] delivers the same `(time, shard, payload)`
-    /// stream as repeated [`ShardSet::next_event`] under random seeds and
-    /// random mid-delivery follow-up routing (both drives make identical,
-    /// payload-keyed routing decisions).
-    #[test]
-    fn shard_set_batch_drain_matches_per_event(
-        shards in 2usize..5,
-        lookahead in 1u64..8,
-        seeds in proptest::collection::vec((0usize..8, 0u64..64), 1..60),
-    ) {
-        let mut by_event: ShardSet<u64> = ShardSet::new_direct(shards, lookahead);
-        let mut by_batch: ShardSet<u64> = ShardSet::new_direct(shards, lookahead);
-        for (payload, &(dest, t)) in seeds.iter().enumerate() {
-            by_event.route(dest % shards, t, payload as u64);
-            by_batch.route(dest % shards, t, payload as u64);
-        }
-        // Deterministic, payload-keyed follow-up: both drives spawn the same
-        // children from the same deliveries, capped so the run terminates.
-        let spawn = |set: &mut ShardSet<u64>, shard: usize, t: Cycle, p: u64| {
-            if p < 200 && p.is_multiple_of(3) {
-                set.set_current(shard);
-                set.route((p as usize) % shards, t + lookahead + (p % 5), 1_000 + p)
-            }
-        };
-        let mut stream_a = Vec::new();
-        while let Some((t, p, shard)) = by_event.next_event() {
-            spawn(&mut by_event, shard, t, p);
-            stream_a.push((t, shard, p));
-        }
-        let mut stream_b = Vec::new();
-        let mut batch = Vec::new();
-        while let Some(t) = by_batch.next_batch(&mut batch) {
-            for (shard, p) in batch.drain(..) {
-                spawn(&mut by_batch, shard as usize, t, p);
-                stream_b.push((t, shard as usize, p));
-            }
-        }
-        prop_assert_eq!(&stream_a, &stream_b);
-        let (mut sa, sb) = (by_event.stats(), by_batch.stats());
-        prop_assert!(sb.batches <= sb.delivered);
-        sa.batches = sb.batches;
-        prop_assert_eq!(sa, sb);
     }
 }
