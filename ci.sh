@@ -5,7 +5,9 @@
 # artifact (DESIGN.md §8.1/§13), rustdoc (warnings denied) + doctests, then the tier-1 build +
 # tests, the full workspace suite, the trace determinism gate (DESIGN.md §10),
 # the telemetry determinism gates (DESIGN.md §12: observational parity plus
-# timeline/heatmap artifacts byte-identical across --jobs), the
+# timeline/heatmap artifacts byte-identical across --jobs), the per-feature
+# equivalence gates and golden lane (fig14 byte-identical under each of the
+# audit/trace/telemetry builds and all three combined), the
 # EXPERIMENTS.md and PROTOCOL.md drift gates (DESIGN.md §9, §14), the serve
 # lane (DESIGN.md §14: batch and socket replays of the fig14 request mix must
 # digest byte-identically, with the warm pass answered entirely from the
@@ -122,6 +124,17 @@ cargo test --release --test equivalence -q
 cargo test --release --features audit --test equivalence -q
 cargo test --release --features trace --test equivalence -q
 cargo test --release --features telemetry --test equivalence -q
+
+echo "== per-feature golden lane (fig14 bench byte-identical under each observability build)"
+mkdir -p target/ci
+for feat in audit trace telemetry audit,trace,telemetry; do
+  cargo build --release -q --features "$feat" -p wsg-bench
+  ./target/release/hdpat-sim figure fig14 --scale bench --no-cache --jobs 1 \
+      > "target/ci/fig14_${feat//,/_}.txt"
+  cmp tests/golden/fig14_bench.txt "target/ci/fig14_${feat//,/_}.txt"
+done
+# Leave the default (feature-off) binary in place for the lanes below.
+cargo build --release -q -p wsg-bench
 
 echo "== trace on/off run parity (hdpat-sim run output byte-identical)"
 mkdir -p target/ci

@@ -172,16 +172,12 @@ pub fn run_traced(cfg: &RunConfig) -> (Metrics, wsg_sim::trace::TraceSink) {
         cfg.scale,
         cfg.seed,
     );
-    let sink = wsg_sim::trace::TraceSink::shared();
-    sim.set_tracer(&sink);
-    // `run` consumes the simulation, dropping the engine's sink handles, so
-    // the Rc unwraps cleanly; the clone fallback is defensive only.
+    let mut sinks = wsg_sim::probe::Sinks::new().with_trace();
+    sim.attach(sinks.clone());
+    // `run` consumes the simulation and its probes, so the sink moves out
+    // without a copy.
     let metrics = sim.run();
-    // lint:allow(shared-mut): harness-boundary unwrap of the sink handle;
-    // the Rc never outlives this function and never crosses into the model.
-    let sink = std::rc::Rc::try_unwrap(sink)
-        .map(|cell| cell.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
+    let sink = sinks.take_trace().expect("trace sink attached above");
     (metrics, sink)
 }
 
@@ -206,16 +202,14 @@ pub fn run_telemetry(
         cfg.scale,
         cfg.seed,
     );
-    let sink = wsg_sim::telemetry::TelemetrySink::shared(sample_interval);
-    sim.set_telemetry(&sink);
-    // `run` consumes the simulation, dropping the engine's sink handles, so
-    // the Rc unwraps cleanly; the clone fallback is defensive only.
+    let mut sinks = wsg_sim::probe::Sinks::new().with_telemetry(sample_interval);
+    sim.attach(sinks.clone());
+    // `run` consumes the simulation and its probes, so the recorder moves
+    // out without a copy.
     let metrics = sim.run();
-    // lint:allow(shared-mut): harness-boundary unwrap of the sink handle;
-    // the Rc never outlives this function and never crosses into the model.
-    let sink = std::rc::Rc::try_unwrap(sink)
-        .map(|cell| cell.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
+    let sink = sinks
+        .take_telemetry()
+        .expect("telemetry recorder attached above");
     (metrics, sink)
 }
 
@@ -240,20 +234,15 @@ pub fn run_telemetry_traced(
         cfg.scale,
         cfg.seed,
     );
-    let tel = wsg_sim::telemetry::TelemetrySink::shared(sample_interval);
-    sim.set_telemetry(&tel);
-    let trc = wsg_sim::trace::TraceSink::shared();
-    sim.set_tracer(&trc);
+    let mut sinks = wsg_sim::probe::Sinks::new()
+        .with_telemetry(sample_interval)
+        .with_trace();
+    sim.attach(sinks.clone());
     let metrics = sim.run();
-    // lint:allow(shared-mut): harness-boundary unwrap of the sink handles;
-    // the Rcs never outlive this function and never cross into the model.
-    let tel = std::rc::Rc::try_unwrap(tel)
-        .map(|cell| cell.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
-    // lint:allow(shared-mut): harness-boundary unwrap (see above).
-    let trc = std::rc::Rc::try_unwrap(trc)
-        .map(|cell| cell.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
+    let tel = sinks
+        .take_telemetry()
+        .expect("telemetry recorder attached above");
+    let trc = sinks.take_trace().expect("trace sink attached above");
     (metrics, tel, trc)
 }
 

@@ -404,6 +404,11 @@ impl Metrics {
     /// is an error — the disk cache maps every error to a miss and discards
     /// the entry, so corruption can never surface as wrong results.
     pub fn from_cache_text(text: &str) -> Result<Metrics, String> {
+        // The encoder ends every line, `end` included, with a newline; an
+        // entry missing the last one was cut short.
+        if !text.ends_with('\n') {
+            return Err("entry does not end with a newline (truncated)".to_string());
+        }
         let mut r = LineReader::new(text);
         let header = r.fields("metrics-codec", 3)?;
         if header[0] != "v1" {
@@ -434,7 +439,7 @@ impl Metrics {
 
         let reuse_head = r.fields("iommu_reuse", 2)?;
         let touches: u64 = parse(&reuse_head[0], "iommu_reuse touches")?;
-        let distinct: usize = parse(&reuse_head[1], "iommu_reuse distinct")?;
+        let distinct = r.line_count(parse(&reuse_head[1], "iommu_reuse distinct")?)?;
         let mut counts = Vec::with_capacity(distinct);
         for _ in 0..distinct {
             let kv = r.fields("c", 2)?;
@@ -631,6 +636,20 @@ impl<'a> LineReader<'a> {
         Ok(fields)
     }
 
+    /// Checks a declared count of following lines against the lines left
+    /// in the entry, so a corrupt count is an error rather than a huge
+    /// allocation.
+    fn line_count(&self, n: usize) -> Result<usize, String> {
+        let left = self.lines.clone().count();
+        if n > left {
+            return Err(format!(
+                "line {}: declares {n} following line(s), but only {left} remain",
+                self.line_no
+            ));
+        }
+        Ok(n)
+    }
+
     fn expect_eof(&mut self) -> Result<(), String> {
         match self.lines.next() {
             None => Ok(()),
@@ -704,7 +723,7 @@ impl<'a> LineReader<'a> {
         if width == 0 {
             return Err(format!("`{key}` has zero window width"));
         }
-        let n: usize = parse(&head[1], "window count")?;
+        let n = self.line_count(parse(&head[1], "window count")?)?;
         let mut windows = Vec::with_capacity(n);
         for i in 0..n {
             let f = self.fields("w", 4)?;

@@ -387,17 +387,16 @@ impl Simulation {
             .add("walk", t.saturating_sub(started));
         // Mirror the three Breakdown components as spans at the IOMMU walker
         // site, so a trace shows the same decomposition as Fig 3.
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            let site = self.gpms.len() as u64 * (8 + 64);
+        #[cfg(feature = "probe")]
+        {
+            let site = self.iommu_site();
             let pre = entered.saturating_sub(arrived);
             let queue = started.saturating_sub(entered);
             let walk = t.saturating_sub(started);
-            tr.with(|s| {
-                s.complete("iommu.pre_queue", arrived, pre, site, req as u64);
-                s.complete("iommu.ptw_queue", entered, queue, site, req as u64);
-                s.complete("iommu.walk", started, walk, site, req as u64);
-            });
+            let sinks = &self.sinks;
+            sinks.span(site, "iommu.pre_queue", arrived, pre, req as u64);
+            sinks.span(site, "iommu.ptw_queue", entered, queue, req as u64);
+            sinks.span(site, "iommu.walk", started, walk, req as u64);
         }
     }
 }

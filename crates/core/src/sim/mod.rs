@@ -107,7 +107,7 @@ pub(crate) struct Request {
     pub op: MemoryOp,
     pub vpn: Vpn,
     /// Issue cycle, kept for the whole-translation trace span.
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "probe")]
     pub issued: Cycle,
     pub remote_started: Option<Cycle>,
     pub iommu_arrived: Option<Cycle>,
@@ -190,9 +190,6 @@ pub struct Simulation {
     /// around each [`wsg_xlat::WalkerPool::drain_matching_into`] call so the
     /// hot dispatch path never allocates for coalesced walks.
     pub(crate) walk_scratch: Vec<ReqId>,
-    /// `WSG_TRACE_REQ` debug hook, resolved once at construction so the
-    /// dispatch loop never touches the process environment per event.
-    pub(crate) trace_req: Option<ReqId>,
     /// Optional page-migration extension (see [`crate::migration`]).
     pub(crate) migration: Option<MigrationConfig>,
     /// Dynamic home overrides for migrated pages (checked before the static
@@ -200,27 +197,25 @@ pub struct Simulation {
     pub(crate) home_override: HashIndex<u32>,
     /// Per-page (last remote consumer, consecutive-access streak).
     pub(crate) access_streak: HashIndex<(u32, u32)>,
-    /// The runtime invariant auditor observing the queue, mesh, and every
-    /// translation structure (`audit` feature only).
+    /// The runtime invariant auditor every probe reports to (`audit`
+    /// feature only).
     #[cfg(feature = "audit")]
     // lint:allow(shared-mut): the auditor is a sanctioned sink (DESIGN.md
-    // §13); the engine root handle shares it with every audited structure.
+    // §13); the engine keeps concrete access to it for the end-of-run check.
     pub(crate) auditor: std::rc::Rc<std::cell::RefCell<wsg_sim::audit::ConservationAuditor>>,
-    /// Request-lifecycle trace sink handle (`trace` feature only); attached
-    /// with [`Simulation::set_tracer`], absent by default.
-    #[cfg(feature = "trace")]
-    pub(crate) tracer: Option<wsg_sim::trace::TraceHandle>,
-    /// Telemetry flight-recorder handle (`telemetry` feature only);
-    /// attached with [`Simulation::set_telemetry`], absent by default.
-    #[cfg(feature = "telemetry")]
-    pub(crate) telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    /// Simulated time of the next telemetry epoch boundary; `dispatch`
-    /// publishes and samples when event time reaches it.
-    #[cfg(feature = "telemetry")]
-    pub(crate) telemetry_next: Cycle,
-    /// First id of the engine-level telemetry counters.
-    #[cfg(feature = "telemetry")]
-    pub(crate) telemetry_base: usize,
+    /// The consumers attached with [`Simulation::attach`]; the engine
+    /// stamps the trace context, emits its own spans and publishes its own
+    /// counters straight into them.
+    #[cfg(feature = "probe")]
+    pub(crate) sinks: wsg_sim::probe::Sinks,
+    /// First id of the engine's two telemetry counters (IOMMU pre-queue
+    /// depth, completed operations).
+    #[cfg(feature = "probe")]
+    pub(crate) counters: usize,
+    /// Simulated time of the next telemetry epoch boundary (`Cycle::MAX`
+    /// without a recorder); `dispatch` samples when event time reaches it.
+    #[cfg(feature = "probe")]
+    pub(crate) next_sample: Cycle,
 }
 
 impl Simulation {
@@ -365,9 +360,6 @@ impl Simulation {
             chains,
             last_iommu_vpn: None,
             walk_scratch: Vec::new(),
-            trace_req: std::env::var("WSG_TRACE_REQ")
-                .ok()
-                .and_then(|v| v.parse().ok()),
             migration: None,
             home_override: HashIndex::new(),
             access_streak: HashIndex::new(),
@@ -377,57 +369,18 @@ impl Simulation {
             auditor: std::rc::Rc::new(std::cell::RefCell::new(
                 wsg_sim::audit::ConservationAuditor::new(),
             )),
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_next: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
+            #[cfg(feature = "probe")]
+            sinks: wsg_sim::probe::Sinks::new(),
+            #[cfg(feature = "probe")]
+            counters: 0,
+            #[cfg(feature = "probe")]
+            next_sample: Cycle::MAX,
         };
 
         // Attach the auditor to every structure before the first event, so
         // the occupancy mirrors start from empty state.
         #[cfg(feature = "audit")]
-        {
-            use wsg_sim::audit::AuditHandle;
-            let handle = AuditHandle::of(&sim.auditor);
-            // lint:allow(site-registry): the event queue is audit-only by
-            // design — trace spans and telemetry counters model component
-            // occupancy, not scheduler bookkeeping.
-            sim.queue.set_auditor(handle.clone());
-            sim.mesh.set_auditor(handle.clone());
-            // Site ids: GPM-local structures get gpm*8+slot; per-CU L1 TLBs
-            // and IOMMU structures hang off the top of the range. The L1
-            // stride widens past 64 for presets with more CUs per GPM
-            // (e.g. MI300's 76) — a fixed 64 made neighbouring GPMs share
-            // site ids, and the two occupancy streams diverged the mirror.
-            let g_total = sim.gpms.len() as u64;
-            let cu_stride = sim.cu_site_stride();
-            for (g, gpm) in sim.gpms.iter_mut().enumerate() {
-                let g = g as u64;
-                gpm.l2_tlb.set_auditor(handle.clone(), g * 8);
-                gpm.gmmu_cache.set_auditor(handle.clone(), g * 8 + 1);
-                gpm.walkers.set_auditor(handle.clone(), g * 8 + 2);
-                for (c, cu) in gpm.cus.iter_mut().enumerate() {
-                    cu.l1_tlb
-                        // lint:allow(site-registry): per-CU L1 TLBs audit and
-                        // trace but are deliberately not telemetry-attached —
-                        // the per-GPM L2s capture the spatial picture at a
-                        // fraction of the artifact size (see `set_telemetry`).
-                        .set_auditor(handle.clone(), g_total * 8 + g * cu_stride + c as u64);
-                }
-            }
-            let iommu_base = g_total * 8 + g_total * cu_stride;
-            sim.iommu.walkers.set_auditor(handle.clone(), iommu_base);
-            sim.iommu
-                .redirection
-                .set_auditor(handle.clone(), iommu_base + 1);
-            if let Some(tlb) = &mut sim.iommu.tlb {
-                tlb.set_auditor(handle.clone(), iommu_base + 2);
-            }
-        }
+        sim.attach(wsg_sim::probe::Sinks::new());
 
         // Dispatch workgroups breadth-first (round-robin) across GPMs, the
         // way GPU runtimes launch blocks across compute dies; pages are
@@ -458,11 +411,11 @@ impl Simulation {
         self.policy
     }
 
-    /// Per-GPM site-id stride for the L1-TLB range of the audit/trace
-    /// numbering: at least 64 (the historical stride, kept so existing
-    /// configurations number identically) and wide enough that a preset with
-    /// more than 64 CUs per GPM cannot alias a neighbouring GPM's sites.
-    #[cfg(any(feature = "audit", feature = "trace", feature = "telemetry"))]
+    /// Per-GPM site-id stride for the L1-TLB range: at least 64 (the
+    /// historical stride, kept so existing configurations number
+    /// identically) and wide enough that a preset with more than 64 CUs per
+    /// GPM cannot alias a neighbouring GPM's sites.
+    #[cfg(feature = "probe")]
     fn cu_site_stride(&self) -> u64 {
         self.gpms
             .iter()
@@ -472,149 +425,98 @@ impl Simulation {
             .max(64)
     }
 
-    /// Attaches a request-lifecycle trace sink to the engine and every model
-    /// structure, using the same site-id numbering as the audit feature:
-    /// GPM-local structures at `gpm*8 + slot` (L2 TLB 0, GMMU cache 1,
-    /// walkers 2, cuckoo 3, HBM 4), per-CU L1 TLBs at
-    /// `G*8 + gpm*S + cu` where the stride `S = max(64, CUs per GPM)`, and
-    /// IOMMU structures from `G*8 + G*S` (walkers +0, redirection +1,
-    /// TLB +2, TLB MSHR +3).
-    ///
-    /// Attach before [`Simulation::run`]; tracing is purely observational
-    /// and never changes metrics (`tests/trace_determinism.rs`).
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(
-        &mut self,
-        // lint:allow(shared-mut): the sanctioned sink handle type at the
-        // attach boundary (DESIGN.md §13).
-        sink: &std::rc::Rc<std::cell::RefCell<wsg_sim::trace::TraceSink>>,
-    ) {
-        use wsg_sim::trace::TraceHandle;
-        let handle = TraceHandle::of(sink);
-        self.mesh.set_tracer(handle.clone());
-        let g_total = self.gpms.len() as u64;
-        let cu_stride = self.cu_site_stride();
-        for (g, gpm) in self.gpms.iter_mut().enumerate() {
-            let g = g as u64;
-            gpm.l2_tlb.set_tracer(handle.clone(), g * 8);
-            gpm.gmmu_cache.set_tracer(handle.clone(), g * 8 + 1);
-            gpm.walkers.set_tracer(handle.clone(), g * 8 + 2);
-            // The cuckoo filter and HBM have no audit occupancy mirror
-            // (conservation is audited on the structures they front), so
-            // they register with the trace and telemetry sinks only.
-            gpm.cuckoo.set_tracer(handle.clone(), g * 8 + 3); // lint:allow(site-registry): see above.
-            gpm.hbm.set_tracer(handle.clone(), g * 8 + 4); // lint:allow(site-registry): see above.
-            for (c, cu) in gpm.cus.iter_mut().enumerate() {
-                cu.l1_tlb
-                    .set_tracer(handle.clone(), g_total * 8 + g * cu_stride + c as u64);
-            }
-        }
-        let iommu_base = g_total * 8 + g_total * cu_stride;
-        self.iommu.walkers.set_tracer(handle.clone(), iommu_base);
-        self.iommu
-            .redirection
-            .set_tracer(handle.clone(), iommu_base + 1);
-        if let Some(tlb) = &mut self.iommu.tlb {
-            tlb.set_tracer(handle.clone(), iommu_base + 2);
-        }
-        if let Some(mshr) = &mut self.iommu.tlb_mshr {
-            // lint:allow(site-registry): MSHR occupancy is audited via its
-            // owning TLB; the MSHR itself traces and samples only.
-            mshr.set_tracer(handle.clone(), iommu_base + 3);
-        }
-        self.tracer = Some(handle);
+    /// First IOMMU site id (the IOMMU walker pool's), just past the
+    /// per-CU L1-TLB range.
+    #[cfg(feature = "probe")]
+    pub(crate) fn iommu_site(&self) -> u64 {
+        let g = self.gpms.len() as u64;
+        g * 8 + g * self.cu_site_stride()
     }
 
-    /// Attaches the telemetry flight recorder to the engine and every
-    /// model structure, using the audit/trace site-id numbering (see
-    /// [`Simulation::set_tracer`]). GPM-local structures are tagged with
-    /// their wafer tile and IOMMU structures with the CPU tile, so the
-    /// recorder can render spatial heatmaps; per-CU L1 TLBs are *not*
-    /// attached — the per-GPM L2s already capture the spatial picture at a
-    /// fraction of the artifact size.
+    /// Attaches `sinks` to the engine and every model structure, in one
+    /// pass over a fresh [`SiteTable`](wsg_sim::probe::SiteTable) that
+    /// replaces any earlier attachment; audit builds always add the
+    /// engine's own auditor. Returns the table.
     ///
-    /// Attach before [`Simulation::run`]; telemetry is purely
-    /// observational and never changes metrics
-    /// (`tests/telemetry_determinism.rs`).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        // lint:allow(shared-mut): the sanctioned sink handle type at the
-        // attach boundary (DESIGN.md §13).
-        sink: &std::rc::Rc<std::cell::RefCell<wsg_sim::telemetry::TelemetrySink>>,
-    ) {
-        use wsg_sim::telemetry::{CounterKind, TelemetryHandle};
-        let handle = TelemetryHandle::of(sink);
-        self.mesh.set_telemetry(&handle);
+    /// Site ids: GPM-local structures at `gpm*8 + slot` (L2 TLB 0, GMMU
+    /// cache 1, walkers 2, cuckoo 3, HBM 4), per-CU L1 TLBs at
+    /// `G*8 + gpm*S + cu` where the stride `S = max(64, CUs per GPM)`, and
+    /// IOMMU structures from `G*8 + G*S` (walkers +0, redirection +1,
+    /// TLB +2, TLB MSHR +3). Mesh links are named by their packed
+    /// endpoints and mesh counters by tile index, outside the table.
+    /// GPM-local counters are tagged with their wafer tile and IOMMU
+    /// counters with the CPU tile; per-CU L1 TLBs are not sampled — the
+    /// per-GPM L2s already capture the spatial picture at a fraction of the
+    /// artifact size.
+    ///
+    /// Attach before [`Simulation::run`]; observation never changes
+    /// metrics (`tests/trace_determinism.rs`,
+    /// `tests/telemetry_determinism.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if two structures would share a site id.
+    #[cfg(feature = "probe")]
+    pub fn attach(&mut self, sinks: wsg_sim::probe::Sinks) -> wsg_sim::probe::SiteTable {
+        use wsg_sim::probe::CounterKind::{Counter, Gauge};
+        use wsg_sim::probe::{SiteKind, SiteTable};
+        #[cfg(feature = "audit")]
+        let sinks = sinks.with_auditor(&self.auditor);
+        let mut table = SiteTable::new(sinks);
+        self.queue.attach_probe(table.unclaimed(SiteKind::Queue));
+        self.mesh.attach_probe(table.unclaimed(SiteKind::Link));
         let g_total = self.gpms.len() as u64;
         let cu_stride = self.cu_site_stride();
-        let tiles: Vec<(u16, u16)> = (0..g_total as u32)
-            .map(|id| {
-                let c = self.cfg.layout.coord_of(id);
-                (c.x, c.y)
-            })
-            .collect();
         for (g, gpm) in self.gpms.iter_mut().enumerate() {
-            let tile = Some(tiles[g]);
+            let c = self.cfg.layout.coord_of(g as u32);
+            let tile = Some((c.x, c.y));
             let g = g as u64;
-            gpm.l2_tlb.set_telemetry(&handle, g * 8, tile);
-            gpm.gmmu_cache.set_telemetry(&handle, g * 8 + 1, tile);
-            gpm.walkers.set_telemetry(&handle, g * 8 + 2, tile);
-            gpm.cuckoo.set_telemetry(&handle, g * 8 + 3, tile);
-            gpm.hbm.set_telemetry(&handle, g * 8 + 4, tile);
+            gpm.l2_tlb
+                .attach_probe(table.claim(SiteKind::Tlb, g * 8, tile));
+            gpm.gmmu_cache
+                .attach_probe(table.claim(SiteKind::Tlb, g * 8 + 1, tile));
+            gpm.walkers
+                .attach_probe(table.claim(SiteKind::Walker, g * 8 + 2, tile));
+            gpm.cuckoo
+                .attach_probe(table.claim(SiteKind::Cuckoo, g * 8 + 3, tile));
+            gpm.hbm
+                .attach_probe(table.claim(SiteKind::Hbm, g * 8 + 4, tile));
+            for (c, cu) in gpm.cus.iter_mut().enumerate() {
+                let id = g_total * 8 + g * cu_stride + c as u64;
+                cu.l1_tlb
+                    .attach_probe(table.claim(SiteKind::Tlb, id, None).unsampled());
+            }
         }
         let cpu = self.cfg.layout.cpu();
         let cpu_tile = Some((cpu.x, cpu.y));
-        let iommu_base = g_total * 8 + g_total * cu_stride;
-        self.iommu
-            .walkers
-            .set_telemetry(&handle, iommu_base, cpu_tile);
-        self.iommu
-            .redirection
-            .set_telemetry(&handle, iommu_base + 1, cpu_tile);
+        let base = self.iommu_site();
+        let walkers = table.claim(SiteKind::Walker, base, cpu_tile);
+        self.iommu.walkers.attach_probe(walkers);
+        let redirection = table.claim(SiteKind::Redirection, base + 1, cpu_tile);
+        self.iommu.redirection.attach_probe(redirection);
         if let Some(tlb) = &mut self.iommu.tlb {
-            tlb.set_telemetry(&handle, iommu_base + 2, cpu_tile);
+            tlb.attach_probe(table.claim(SiteKind::Tlb, base + 2, cpu_tile));
         }
         if let Some(mshr) = &mut self.iommu.tlb_mshr {
-            mshr.set_telemetry(&handle, iommu_base + 3, cpu_tile);
+            mshr.attach_probe(table.claim(SiteKind::Mshr, base + 3, cpu_tile));
         }
-        self.telemetry_base = handle.with(|t| {
-            let base = t.register("iommu.pre_queue", iommu_base, cpu_tile, CounterKind::Gauge);
-            t.register("engine.ops_completed", 0, None, CounterKind::Counter);
-            base
-        });
-        self.telemetry_next = handle.with(|t| t.next_sample_at());
-        self.telemetry = Some(handle);
+        let sinks = table.sinks().clone();
+        self.counters = sinks.register("iommu.pre_queue", base, cpu_tile, Gauge);
+        sinks.register("engine.ops_completed", 0, None, Counter);
+        self.next_sample = sinks.next_sample_at();
+        self.sinks = sinks;
+        table
     }
 
-    /// Publishes every attached structure's current counters into the
-    /// telemetry registry. Called at each epoch boundary and once at the
-    /// end of the run, never per event.
-    #[cfg(feature = "telemetry")]
-    fn publish_telemetry_all(&self) {
-        self.mesh.publish_telemetry();
-        for gpm in &self.gpms {
-            gpm.l2_tlb.publish_telemetry();
-            gpm.gmmu_cache.publish_telemetry();
-            gpm.walkers.publish_telemetry();
-            gpm.cuckoo.publish_telemetry();
-            gpm.hbm.publish_telemetry();
-        }
-        self.iommu.walkers.publish_telemetry();
-        self.iommu.redirection.publish_telemetry();
-        if let Some(tlb) = &self.iommu.tlb {
-            tlb.publish_telemetry();
-        }
-        if let Some(mshr) = &self.iommu.tlb_mshr {
-            mshr.publish_telemetry();
-        }
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.iommu.pre_queue.len() as u64);
-                t.set(base + 1, self.metrics.ops_completed);
-            });
-        }
+    /// Publishes the engine's own counters into the telemetry recorder (a
+    /// no-op without one). Called at each epoch boundary and once at the
+    /// end of the run.
+    #[cfg(feature = "probe")]
+    fn publish_counters(&self) {
+        self.sinks
+            .set(self.counters, self.iommu.pre_queue.len() as u64);
+        self.sinks
+            .set(self.counters + 1, self.metrics.ops_completed);
     }
 
     /// Enables the streak-based page-migration extension (see
@@ -747,11 +649,10 @@ impl Simulation {
         }
         // Close the telemetry recording at the last event time: sample any
         // remaining whole epochs plus the trailing partial one.
-        #[cfg(feature = "telemetry")]
-        if let Some(tel) = self.telemetry.clone() {
-            self.publish_telemetry_all();
-            let end = self.queue.now();
-            tel.with(|s| s.finalize(end));
+        #[cfg(feature = "probe")]
+        {
+            self.publish_counters();
+            self.sinks.finalize(self.queue.now());
         }
         self.metrics.total_cycles = self.metrics.gpm_finish.iter().copied().max().unwrap_or(0);
         self.metrics.sim_events = self.queue.total_popped();
@@ -763,18 +664,19 @@ impl Simulation {
         // does not touch `to_deterministic_string`, so traced and untraced
         // runs serialize identically (DESIGN.md §10).
         #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            self.metrics.stage_latency = tr.with(|s| {
-                s.stage_summary()
-                    .into_iter()
-                    .map(|(stage, stats)| (stage.to_string(), stats))
-                    .collect()
-            });
+        if let Some(summary) = self.sinks.with_trace_sink(|s| {
+            s.stage_summary()
+                .into_iter()
+                .map(|(stage, stats)| (stage.to_string(), stats))
+                .collect()
+        }) {
+            self.metrics.stage_latency = summary;
         }
         self.metrics
     }
 
     /// The request id an event is about, if any.
+    #[cfg(feature = "probe")]
     fn event_req(ev: &Event) -> Option<ReqId> {
         match ev {
             Event::GmmuWalkDone { req, .. }
@@ -793,33 +695,22 @@ impl Simulation {
     }
 
     fn dispatch(&mut self, t: Cycle, ev: Event) {
-        if let Some(target) = self.trace_req {
-            if Self::event_req(&ev) == Some(target) {
-                eprintln!("TRACE t={t} {ev:?}");
+        #[cfg(feature = "probe")]
+        {
+            // Sample telemetry epochs lazily off the event stream rather
+            // than via scheduled events: the queue's sequence numbers and
+            // popped count stay exactly as in a telemetry-off run, and state
+            // cannot change between events, so sampling at the first event
+            // past an epoch boundary observes the same values an
+            // end-of-epoch probe would have.
+            if t >= self.next_sample {
+                self.publish_counters();
+                self.next_sample = self.sinks.sample_up_to(t);
             }
-        }
-        // Sample telemetry epochs lazily off the event stream rather than
-        // via scheduled events: the queue's sequence numbers and popped
-        // count stay exactly as in a telemetry-off run, and state cannot
-        // change between events, so sampling at the first event past an
-        // epoch boundary observes the same values an end-of-epoch probe
-        // would have.
-        #[cfg(feature = "telemetry")]
-        if self.telemetry.is_some() && t >= self.telemetry_next {
-            self.publish_telemetry_all();
-            if let Some(tel) = self.telemetry.clone() {
-                tel.with(|s| s.sample_up_to(t));
-                self.telemetry_next = tel.with(|s| s.next_sample_at());
-            }
-        }
-        // Stamp the (cycle, request) context so leaf-structure hooks can
-        // emit instants without the engine threading either value through.
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            let rid = Self::event_req(&ev)
-                .map(u64::from)
-                .unwrap_or(wsg_sim::trace::NO_REQ);
-            tr.with(|s| s.set_context(t, rid));
+            // Stamp the (cycle, request) context so leaf-structure probes
+            // can emit instants without the engine threading either value
+            // through.
+            self.sinks.context(t, Self::event_req(&ev).map(u64::from));
         }
         match ev {
             Event::CuIssue { gpm, cu } => self.on_cu_issue(t, gpm, cu),
@@ -879,19 +770,17 @@ impl Simulation {
         let op = slot.pipeline.issue(issue_at);
         let vpn = self.cfg.page_size.vpn_of(op.vaddr);
         let req = self.reqs.len() as ReqId;
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            tr.with(|s| {
-                s.set_context(issue_at, req as u64);
-                s.instant("issue", gpm as u64, vpn.0);
-            });
+        #[cfg(feature = "probe")]
+        {
+            self.sinks.context(issue_at, Some(req as u64));
+            self.sinks.instant(gpm as u64, "issue", vpn.0);
         }
         self.reqs.push(Request {
             gpm,
             cu,
             op,
             vpn,
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "probe")]
             issued: issue_at,
             remote_started: None,
             iommu_arrived: None,

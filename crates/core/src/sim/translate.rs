@@ -393,10 +393,11 @@ impl Simulation {
             self.metrics.remote_rtt.record(rtt);
             // The "remote" span covers exactly this interval, so a trace's
             // per-stage sum reconciles with the remote_rtt summary.
-            #[cfg(feature = "trace")]
-            if let Some(tr) = &self.tracer {
+            #[cfg(feature = "probe")]
+            {
                 let r = &self.reqs[req as usize];
-                tr.with(|s| s.complete("remote", start, t - start, r.gpm as u64, r.vpn.0));
+                self.sinks
+                    .span(r.gpm as u64, "remote", start, t - start, r.vpn.0);
             }
             match source {
                 Resolution::PeerCache => self.metrics.rtt_peer.record(rtt),
@@ -427,10 +428,11 @@ impl Simulation {
         };
         let _ = source;
         // Whole-translation span: issue to PFN delivery at the requester.
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
+        #[cfg(feature = "probe")]
+        {
             let issued = self.reqs[req as usize].issued;
-            tr.with(|s| s.complete("xlat", issued, t - issued, gpm_id as u64, vpn.0));
+            self.sinks
+                .span(gpm_id as u64, "xlat", issued, t - issued, vpn.0);
         }
 
         // Opportunistic fill of the GPMs probed on the way (route-based and

@@ -63,14 +63,8 @@ pub struct Hbm {
     channels: ServerPool,
     bytes_served: u64,
     accesses: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
+    #[cfg(feature = "probe")]
+    probe: Option<wsg_sim::probe::Probe>,
 }
 
 impl Hbm {
@@ -86,56 +80,19 @@ impl Hbm {
             cfg,
             bytes_served: 0,
             accesses: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
+            #[cfg(feature = "probe")]
+            probe: None,
         }
     }
 
-    /// Attaches a tracer recording access service spans under instance id
-    /// `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
-    }
-
-    /// Attaches the telemetry flight recorder, registering this stack's
-    /// traffic metrics under instance id `site` (optionally tagged with a
-    /// wafer tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::Counter;
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("hbm.accesses", site, tile, Counter);
-            t.register("hbm.bytes", site, tile, Counter);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current cumulative traffic counters into the attached
-    /// recorder (a no-op without one). The engine calls this at each epoch
-    /// boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.accesses);
-                t.set(base + 1, self.bytes_served);
-            });
-        }
+    /// Attaches the probe that reports access service spans (trace) and
+    /// publishes traffic counters (telemetry).
+    #[cfg(feature = "probe")]
+    pub fn attach_probe(&mut self, mut probe: wsg_sim::probe::Probe) {
+        use wsg_sim::probe::CounterKind::Counter;
+        probe.register(&[("hbm.accesses", Counter), ("hbm.bytes", Counter)]);
+        probe.publish(0, || [self.accesses, self.bytes_served]);
+        self.probe = Some(probe);
     }
 
     /// The configuration.
@@ -152,9 +109,10 @@ impl Hbm {
         self.bytes_served += bytes;
         self.accesses += 1;
         let completion = done + self.cfg.access_latency;
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            tr.with(|s| s.complete("hbm.access", now, completion - now, self.trace_site, bytes));
+        #[cfg(feature = "probe")]
+        if let Some(p) = &self.probe {
+            p.span("hbm.access", now, completion - now, bytes);
+            p.publish(0, || [self.accesses, self.bytes_served]);
         }
         completion
     }

@@ -49,14 +49,8 @@ pub struct Mshr<W> {
     len: usize,
     stalls: u64,
     merges: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
+    #[cfg(feature = "probe")]
+    probe: Option<wsg_sim::probe::Probe>,
 }
 
 impl<W> Mshr<W> {
@@ -90,63 +84,32 @@ impl<W> Mshr<W> {
             len: 0,
             stalls: 0,
             merges: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
+            #[cfg(feature = "probe")]
+            probe: None,
         }
     }
 
-    /// Attaches a tracer recording registration outcomes under instance id
-    /// `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
+    /// Attaches the probe that reports registration outcomes (trace) and
+    /// publishes merge/stall/occupancy counters (telemetry).
+    #[cfg(feature = "probe")]
+    pub fn attach_probe(&mut self, mut probe: wsg_sim::probe::Probe) {
+        use wsg_sim::probe::CounterKind::{Counter, Gauge};
+        probe.register(&[
+            ("mshr.merges", Counter),
+            ("mshr.stalls", Counter),
+            ("mshr.occupancy", Gauge),
+        ]);
+        self.probe = Some(probe);
+        self.report(|_| {});
     }
 
-    /// Attaches the telemetry flight recorder, registering this MSHR
-    /// file's merge/stall/occupancy metrics under instance id `site`
-    /// (optionally tagged with a wafer tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::{Counter, Gauge};
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("mshr.merges", site, tile, Counter);
-            t.register("mshr.stalls", site, tile, Counter);
-            t.register("mshr.occupancy", site, tile, Gauge);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current cumulative counters into the attached recorder (a
-    /// no-op without one). The engine calls this at each epoch boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.merges());
-                t.set(base + 1, self.stalls());
-                t.set(base + 2, self.occupancy() as u64);
-            });
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    fn trace_event(&self, stage: &'static str, block: u64) {
-        if let Some(tr) = &self.tracer {
-            tr.with(|s| s.instant(stage, self.trace_site, block));
+    /// Reports one state change to the attached probe and republishes the
+    /// counters it may have moved.
+    #[cfg(feature = "probe")]
+    fn report(&self, event: impl FnOnce(&wsg_sim::probe::Probe)) {
+        if let Some(p) = &self.probe {
+            event(p);
+            p.publish(0, || [self.merges, self.stalls, self.len as u64]);
         }
     }
 
@@ -163,20 +126,20 @@ impl<W> Mshr<W> {
             // at its target bound exactly when `len() == targets_per_entry`.
             if self.waiters[slot].len() >= self.targets_per_entry {
                 self.stalls += 1;
-                #[cfg(feature = "trace")]
-                self.trace_event("mshr.full", block);
+                #[cfg(feature = "probe")]
+                self.report(|p| p.instant("mshr.full", block));
                 return MshrOutcome::Full;
             }
             self.waiters[slot].push(waiter);
             self.merges += 1;
-            #[cfg(feature = "trace")]
-            self.trace_event("mshr.secondary", block);
+            #[cfg(feature = "probe")]
+            self.report(|p| p.instant("mshr.secondary", block));
             return MshrOutcome::Secondary;
         }
         if self.len >= self.capacity {
             self.stalls += 1;
-            #[cfg(feature = "trace")]
-            self.trace_event("mshr.full", block);
+            #[cfg(feature = "probe")]
+            self.report(|p| p.instant("mshr.full", block));
             return MshrOutcome::Full;
         }
         let slot = match self.live.iter().position(|l| !l) {
@@ -187,8 +150,8 @@ impl<W> Mshr<W> {
         self.live[slot] = true;
         self.waiters[slot].push(waiter);
         self.len += 1;
-        #[cfg(feature = "trace")]
-        self.trace_event("mshr.primary", block);
+        #[cfg(feature = "probe")]
+        self.report(|p| p.instant("mshr.primary", block));
         MshrOutcome::Primary
     }
 
@@ -200,6 +163,8 @@ impl<W> Mshr<W> {
             Some(slot) => {
                 self.live[slot] = false;
                 self.len -= 1;
+                #[cfg(feature = "probe")]
+                self.report(|_| {});
                 std::mem::take(&mut self.waiters[slot])
             }
             None => Vec::new(),

@@ -81,29 +81,15 @@ pub struct Mesh {
     total_bytes: u64,
     total_packets: u64,
     total_hop_bytes: u64,
-    #[cfg(feature = "audit")]
-    auditor: Option<wsg_sim::audit::AuditHandle>,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
+    #[cfg(feature = "probe")]
+    probe: Option<wsg_sim::probe::Probe>,
 }
 
-/// Encodes a directional link's endpoints into one trace site id (same
-/// packing as the audit link site).
-#[cfg(feature = "trace")]
-fn trace_link_site(from: Coord, to: Coord) -> u64 {
+/// Packs a directional link's endpoints into its site id; also names a
+/// packet's source→destination pair.
+#[cfg(feature = "probe")]
+fn link_site(from: Coord, to: Coord) -> u64 {
     ((from.x as u64) << 48) | ((from.y as u64) << 32) | ((to.x as u64) << 16) | to.y as u64
-}
-
-/// Encodes a directional link's endpoints into one audit site id.
-#[cfg(feature = "audit")]
-fn link_site(from: Coord, to: Coord) -> wsg_sim::audit::Site {
-    let id =
-        ((from.x as u64) << 48) | ((from.y as u64) << 32) | ((to.x as u64) << 16) | to.y as u64;
-    wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Link, id)
 }
 
 impl Mesh {
@@ -126,72 +112,40 @@ impl Mesh {
             total_bytes: 0,
             total_packets: 0,
             total_hop_bytes: 0,
-            #[cfg(feature = "audit")]
-            auditor: None,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
+            #[cfg(feature = "probe")]
+            probe: None,
         }
     }
 
-    /// Attaches an auditor observing every link injection and delivery.
-    #[cfg(feature = "audit")]
-    pub fn set_auditor(&mut self, auditor: wsg_sim::audit::AuditHandle) {
-        self.auditor = Some(auditor);
+    /// Attaches the probe that reports every link hop (audit injection
+    /// and delivery, trace span) and every packet (trace span), and
+    /// publishes two tile-tagged counters per tile — bytes injected on and
+    /// busy cycles of the tile's outgoing links — so link utilization can
+    /// be rendered both as a timeline and as a wafer heatmap.
+    #[cfg(feature = "probe")]
+    pub fn attach_probe(&mut self, mut probe: wsg_sim::probe::Probe) {
+        use wsg_sim::probe::CounterKind::Counter;
+        probe.register_grid(
+            self.width,
+            self.height,
+            &[("mesh.link_bytes", Counter), ("mesh.link_busy", Counter)],
+        );
+        for tile in 0..self.width as usize * self.height as usize {
+            self.publish_tile(&probe, tile);
+        }
+        self.probe = Some(probe);
     }
 
-    /// Attaches a tracer recording a span per packet and per link hop.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Attaches the telemetry flight recorder, announcing the mesh grid
-    /// and registering two tile-tagged counters per tile — bytes injected
-    /// on and busy cycles of the tile's outgoing links — so link
-    /// utilization can be rendered both as a timeline and as a wafer
-    /// heatmap.
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(&mut self, telemetry: &wsg_sim::telemetry::TelemetryHandle) {
-        use wsg_sim::telemetry::CounterKind::Counter;
-        self.telemetry_base = telemetry.with(|t| {
-            t.set_grid(self.width, self.height);
-            let mut base = 0;
-            for y in 0..self.height {
-                for x in 0..self.width {
-                    let tile = y as u64 * self.width as u64 + x as u64;
-                    let id = t.register("mesh.link_bytes", tile, Some((x, y)), Counter);
-                    t.register("mesh.link_busy", tile, Some((x, y)), Counter);
-                    if tile == 0 {
-                        base = id;
-                    }
-                }
-            }
-            base
+    /// Publishes tile `tile`'s cumulative outgoing-link traffic.
+    #[cfg(feature = "probe")]
+    fn publish_tile(&self, probe: &wsg_sim::probe::Probe, tile: usize) {
+        probe.publish(tile * 2, || {
+            let out = &self.links[tile * 4..tile * 4 + 4];
+            [
+                out.iter().map(|l| l.bytes).sum(),
+                out.iter().map(|l| l.busy_cycles).sum(),
+            ]
         });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes per-tile cumulative link traffic into the attached
-    /// recorder (a no-op without one). The engine calls this at each epoch
-    /// boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                for tile in 0..self.width as usize * self.height as usize {
-                    let out = &self.links[tile * 4..tile * 4 + 4];
-                    let bytes: u64 = out.iter().map(|l| l.bytes).sum();
-                    let busy: u64 = out.iter().map(|l| l.busy_cycles).sum();
-                    t.set(base + tile * 2, bytes);
-                    t.set(base + tile * 2 + 1, busy);
-                }
-            });
-        }
     }
 
     /// Mesh width in tiles.
@@ -281,12 +235,7 @@ impl Mesh {
             } else {
                 Coord::new(cur.x, if to.y > cur.y { cur.y + 1 } else { cur.y - 1 })
             };
-            let key = (cur, next);
-            #[cfg(feature = "audit")]
-            if let Some(a) = &self.auditor {
-                a.with(|au| au.on_inject(link_site(key.0, key.1), bytes));
-            }
-            let idx = self.link_index(key.0, key.1);
+            let idx = self.link_index(cur, next);
             let link = &mut self.links[idx];
             let start = t.max(link.next_free);
             queueing += start - t;
@@ -297,25 +246,14 @@ impl Mesh {
             self.total_hop_bytes += bytes;
             let hop_depart = t;
             t = start + ser + self.params.latency;
-            #[cfg(feature = "audit")]
-            if let Some(a) = &self.auditor {
-                a.with(|au| au.on_deliver(link_site(key.0, key.1), bytes));
-            }
-            #[cfg(feature = "trace")]
-            if let Some(tr) = &self.tracer {
+            #[cfg(feature = "probe")]
+            if let Some(p) = &self.probe {
                 // Per-hop span: waiting for the link plus serialization plus
                 // traversal, on the link's own site.
-                tr.with(|s| {
-                    s.complete(
-                        "noc.hop",
-                        hop_depart,
-                        t - hop_depart,
-                        trace_link_site(key.0, key.1),
-                        bytes,
-                    )
-                });
+                p.hop(link_site(cur, next), hop_depart, t - hop_depart, bytes);
+                self.publish_tile(p, idx / 4);
             }
-            #[cfg(not(feature = "trace"))]
+            #[cfg(not(feature = "probe"))]
             let _ = hop_depart;
             cur = next;
             hops += 1;
@@ -325,19 +263,17 @@ impl Mesh {
             hops,
             queueing,
         };
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
+        #[cfg(feature = "probe")]
+        if let Some(p) = &self.probe {
             // Packet-level span on the source→destination pair, carrying the
             // hop count so stage summaries can distinguish path lengths.
-            tr.with(|s| {
-                s.complete(
-                    "noc.send",
-                    depart,
-                    out.arrival - depart,
-                    trace_link_site(from, to),
-                    ((out.hops as u64) << 32) | bytes.min(u32::MAX as u64),
-                )
-            });
+            p.span_at(
+                link_site(from, to),
+                "noc.send",
+                depart,
+                out.arrival - depart,
+                ((out.hops as u64) << 32) | bytes.min(u32::MAX as u64),
+            );
         }
         out
     }

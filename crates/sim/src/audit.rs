@@ -8,66 +8,20 @@
 //! builds too, where the figure-generating runs actually happen.
 //!
 //! The design is hook-based, mirroring scheduler auditors in event-driven
-//! architecture simulators: structures accept an [`AuditHandle`] and invoke
-//! [`Audit`] callbacks at state transitions. Hooks are purely observational
-//! — an attached auditor must never change simulation behaviour, so an
-//! audited run produces byte-identical metrics to an unaudited one.
-//! Violations are recorded, not panicked on, so one run reports them all;
-//! the simulation driver asserts the count is zero at the end.
+//! architecture simulators: structures report state transitions through
+//! their [`Probe`](crate::probe::Probe), which forwards them to the
+//! attached [`Audit`] implementation. Hooks are purely observational — an
+//! attached auditor must never change simulation behaviour, so an audited
+//! run produces byte-identical metrics to an unaudited one. Violations are
+//! recorded, not panicked on, so one run reports them all; the engine
+//! asserts the count is zero at the end of `Simulation::run`.
 //!
 //! Everything here is compiled only with `--features audit`; default builds
-//! carry no cost (not even a branch — the hook fields themselves are
+//! carry no cost (not even a branch — the probe fields themselves are
 //! feature-gated out).
 
-// lint:allow-module(shared-mut): this sink is the sanctioned shared-state
-// boundary — handles are Rc<RefCell<..>> by design (DESIGN.md §13), and
-// model structures only ever hold the Option<AuditHandle> defined here.
-use std::cell::RefCell;
-use std::fmt;
-use std::rc::Rc;
-
+use crate::probe::{Site, SiteKind};
 use crate::time::Cycle;
-
-/// What kind of structure a [`Site`] identifies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SiteKind {
-    /// The discrete-event queue.
-    Queue,
-    /// One directional mesh link.
-    Link,
-    /// A TLB or other set-associative translation cache.
-    Tlb,
-    /// A walker pool's PW-queue.
-    Walker,
-    /// The IOMMU redirection table.
-    Redirection,
-    /// Anything else.
-    Other,
-}
-
-/// Identifies one audited structure instance (e.g. GPM 3's L2 TLB, or the
-/// east-bound link out of tile (2, 1)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Site {
-    /// The structure's kind.
-    pub kind: SiteKind,
-    /// Instance id, assigned by whoever attaches the auditor; for links, an
-    /// encoding of the endpoint coordinates.
-    pub id: u64,
-}
-
-impl Site {
-    /// Builds a site id.
-    pub fn new(kind: SiteKind, id: u64) -> Self {
-        Self { kind, id }
-    }
-}
-
-impl fmt::Display for Site {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}#{}", self.kind, self.id)
-    }
-}
 
 /// Observer hooks invoked by audited structures at state transitions.
 ///
@@ -113,37 +67,6 @@ pub trait Audit {
     /// An entry was removed at `site`; `occupancy` is the post-remove count.
     fn on_evict(&mut self, site: Site, occupancy: usize) {
         let _ = (site, occupancy);
-    }
-}
-
-/// A shared, clonable handle to an auditor, held by audited structures.
-///
-/// Cloning shares the underlying auditor (it is an `Rc`), so one auditor
-/// can observe the queue, the mesh, and every translation structure of a
-/// simulation at once.
-#[derive(Clone)]
-pub struct AuditHandle(Rc<RefCell<dyn Audit>>);
-
-impl AuditHandle {
-    /// Wraps a fresh auditor.
-    pub fn new<A: Audit + 'static>(auditor: A) -> Self {
-        Self(Rc::new(RefCell::new(auditor)))
-    }
-
-    /// Shares an existing auditor the caller keeps concrete access to.
-    pub fn of<A: Audit + 'static>(auditor: &Rc<RefCell<A>>) -> Self {
-        Self(Rc::clone(auditor) as Rc<RefCell<dyn Audit>>)
-    }
-
-    /// Runs `f` against the auditor.
-    pub fn with<R>(&self, f: impl FnOnce(&mut dyn Audit) -> R) -> R {
-        f(&mut *self.0.borrow_mut())
-    }
-}
-
-impl fmt::Debug for AuditHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("AuditHandle(..)")
     }
 }
 
@@ -398,16 +321,6 @@ mod tests {
         a.on_evict(site(), 4);
         a.on_evict(site(), 3);
         assert_eq!(a.finish(), 0);
-    }
-
-    #[test]
-    fn handle_shares_one_auditor() {
-        let concrete = Rc::new(RefCell::new(ConservationAuditor::new()));
-        let h1 = AuditHandle::of(&concrete);
-        let h2 = h1.clone();
-        h1.with(|a| a.on_push(10, 5));
-        h2.with(|a| a.on_push(10, 5));
-        assert_eq!(concrete.borrow().total_violations(), 2);
     }
 
     #[test]

@@ -83,8 +83,8 @@ pub struct EventQueue<E> {
     seq: u64,
     pushed: u64,
     popped: u64,
-    #[cfg(feature = "audit")]
-    auditor: Option<crate::audit::AuditHandle>,
+    #[cfg(feature = "probe")]
+    probe: Option<crate::probe::Probe>,
 }
 
 #[derive(Debug)]
@@ -148,15 +148,15 @@ impl<E> EventQueue<E> {
             seq: 0,
             pushed: 0,
             popped: 0,
-            #[cfg(feature = "audit")]
-            auditor: None,
+            #[cfg(feature = "probe")]
+            probe: None,
         }
     }
 
-    /// Attaches an auditor observing every push and pop.
-    #[cfg(feature = "audit")]
-    pub fn set_auditor(&mut self, auditor: crate::audit::AuditHandle) {
-        self.auditor = Some(auditor);
+    /// Attaches the probe reporting every push and pop.
+    #[cfg(feature = "probe")]
+    pub fn attach_probe(&mut self, probe: crate::probe::Probe) {
+        self.probe = Some(probe);
     }
 
     fn set_bit(&mut self, idx: usize) {
@@ -249,9 +249,9 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: Cycle, payload: E) {
         // The auditor sees the violation even in release builds, where the
         // debug_assert below compiles out.
-        #[cfg(feature = "audit")]
-        if let Some(a) = &self.auditor {
-            a.with(|au| au.on_push(self.now, time));
+        #[cfg(feature = "probe")]
+        if let Some(p) = &self.probe {
+            p.push(self.now, time);
         }
         debug_assert!(
             time >= self.now,
@@ -289,9 +289,9 @@ impl<E> EventQueue<E> {
         match self.now.checked_add(delay) {
             Some(time) => self.push(time, payload),
             None => {
-                #[cfg(feature = "audit")]
-                if let Some(a) = &self.auditor {
-                    a.with(|au| au.on_delay_overflow(self.now, delay));
+                #[cfg(feature = "probe")]
+                if let Some(p) = &self.probe {
+                    p.delay_overflow(self.now, delay);
                 }
                 if cfg!(debug_assertions) {
                     panic!(
@@ -317,9 +317,9 @@ impl<E> EventQueue<E> {
         } else {
             return None;
         };
-        #[cfg(feature = "audit")]
-        if let Some(a) = &self.auditor {
-            a.with(|au| au.on_pop(self.now, time));
+        #[cfg(feature = "probe")]
+        if let Some(p) = &self.probe {
+            p.pop(self.now, time, 1);
         }
         debug_assert!(time >= self.now, "time ran backwards");
         self.now = time;
@@ -400,16 +400,11 @@ impl<E> EventQueue<E> {
             return 0;
         };
         let n = out.len() - start;
-        #[cfg(feature = "audit")]
-        if let Some(a) = &self.auditor {
+        #[cfg(feature = "probe")]
+        if let Some(p) = &self.probe {
             // Per-event hook parity with `pop`: the first event advances the
             // clock from the previous `now`, the rest observe `time == prev`.
-            a.with(|au| {
-                au.on_pop(self.now, time);
-                for _ in 1..n {
-                    au.on_pop(time, time);
-                }
-            });
+            p.pop(self.now, time, n);
         }
         debug_assert!(time >= self.now, "time ran backwards");
         self.now = time;
@@ -732,7 +727,8 @@ mod tests {
     #[cfg(feature = "audit")]
     #[test]
     fn drain_bucket_reports_per_event_pops_to_the_auditor() {
-        use crate::audit::{Audit, AuditHandle};
+        use crate::audit::Audit;
+        use crate::probe::{Sinks, SiteKind, SiteTable};
         use std::cell::RefCell;
         use std::rc::Rc;
 
@@ -746,7 +742,7 @@ mod tests {
 
         let log = Rc::new(RefCell::new(PopLog::default()));
         let mut q = EventQueue::new();
-        q.set_auditor(AuditHandle::of(&log));
+        q.attach_probe(SiteTable::new(Sinks::new().with_auditor(&log)).unclaimed(SiteKind::Queue));
         q.push(4, ());
         q.push(9, ());
         q.push(9, ());
@@ -761,13 +757,16 @@ mod tests {
     #[cfg(feature = "audit")]
     #[test]
     fn auditor_sees_past_push_in_any_profile() {
-        use crate::audit::{AuditHandle, ConservationAuditor};
+        use crate::audit::ConservationAuditor;
+        use crate::probe::{Sinks, SiteKind, SiteTable};
         use std::cell::RefCell;
         use std::rc::Rc;
 
         let auditor = Rc::new(RefCell::new(ConservationAuditor::new()));
         let mut q = EventQueue::new();
-        q.set_auditor(AuditHandle::of(&auditor));
+        q.attach_probe(
+            SiteTable::new(Sinks::new().with_auditor(&auditor)).unclaimed(SiteKind::Queue),
+        );
         q.push(10, ());
         q.pop();
         // Swallow the debug panic so the hook's observation is testable in
@@ -784,13 +783,16 @@ mod tests {
     #[cfg(feature = "audit")]
     #[test]
     fn push_after_overflow_reports_to_auditor() {
-        use crate::audit::{AuditHandle, ConservationAuditor};
+        use crate::audit::ConservationAuditor;
+        use crate::probe::{Sinks, SiteKind, SiteTable};
         use std::cell::RefCell;
         use std::rc::Rc;
 
         let auditor = Rc::new(RefCell::new(ConservationAuditor::new()));
         let mut q = EventQueue::new();
-        q.set_auditor(AuditHandle::of(&auditor));
+        q.attach_probe(
+            SiteTable::new(Sinks::new().with_auditor(&auditor)).unclaimed(SiteKind::Queue),
+        );
         q.push(10, ());
         q.pop();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

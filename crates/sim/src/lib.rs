@@ -21,6 +21,10 @@
 //! * The [`pool`] module — a scoped worker pool for fanning independent,
 //!   fully seeded simulations across threads without sacrificing
 //!   reproducibility (results come back in input order).
+//! * The `probe` module (with any of the `audit`, `trace` and `telemetry`
+//!   features) — the one observability hook every model structure holds,
+//!   fanning its reports out to the auditor, trace sink and telemetry
+//!   recorder.
 //!
 //! # Example
 //!
@@ -43,6 +47,8 @@ pub mod audit;
 pub mod event;
 pub mod index;
 pub mod pool;
+#[cfg(feature = "probe")]
+pub mod probe;
 pub mod rng;
 pub mod server;
 pub mod stats;

@@ -1,22 +1,21 @@
 //! Deterministic, epoch-sampled counter registry (feature `telemetry`).
 //!
 //! A [`TelemetrySink`] is a "flight recorder" for the simulator: model
-//! structures register named counters and gauges once at attach time, the
-//! engine *publishes* current values and *samples* the registry every
-//! `interval` cycles of simulated time, and each counter accumulates into a
-//! [`TimeSeries`] with one sample per epoch. Structures hold an
-//! `Option<TelemetryHandle>` exactly like the `audit` and `trace` features'
-//! optional handles (lint rule d5), so a build without the feature — or a
-//! run that never attaches a sink — pays nothing and simulates identically.
+//! structures register named counters and gauges once, when the engine
+//! attaches their [`Probe`](crate::probe::Probe), and *publish* their
+//! current cumulative values through that probe whenever they change. The
+//! engine *samples* the registry every `interval` cycles of simulated time,
+//! and each counter accumulates into a [`TimeSeries`] with one sample per
+//! epoch. A build without the feature — or a run that never attaches a
+//! recorder — pays nothing and simulates identically.
 //!
-//! # Pull model
+//! # Publish model
 //!
-//! Telemetry never rides the hot path. Components keep the lifetime
-//! counters they already maintain (hits, misses, occupancy, …); at each
-//! epoch boundary the engine calls every component's `publish_telemetry`,
-//! which writes the *current cumulative* values into the registry with
-//! [`TelemetrySink::set`], then [`TelemetrySink::sample_up_to`] folds them
-//! into per-epoch windows:
+//! Components keep the lifetime counters they already maintain (hits,
+//! misses, occupancy, …) and publish them alongside each state change they
+//! report, so the registry always holds the *current cumulative* values
+//! ([`TelemetrySink::set`]). At each epoch boundary
+//! [`TelemetrySink::sample_up_to`] folds them into per-epoch windows:
 //!
 //! * [`CounterKind::Counter`] records the **delta** since the previous
 //!   epoch (activity per epoch; gap epochs record 0).
@@ -40,39 +39,21 @@
 //! # Example
 //!
 //! ```
-//! use wsg_sim::telemetry::{CounterKind, TelemetryHandle, TelemetrySink};
+//! use wsg_sim::telemetry::{CounterKind, TelemetrySink};
 //!
-//! let sink = TelemetrySink::shared(100);
-//! let handle = TelemetryHandle::of(&sink);
-//! let hits = handle.with(|t| t.register("tlb.hits", 3, None, CounterKind::Counter));
-//! handle.with(|t| {
-//!     t.set(hits, 7);      // published cumulative value
-//!     t.sample_up_to(250); // epochs [0,100) and [100,200) elapsed
-//! });
-//! let sink = sink.borrow();
+//! let mut sink = TelemetrySink::new(100);
+//! let hits = sink.register("tlb.hits", 3, None, CounterKind::Counter);
+//! sink.set(hits, 7); // published cumulative value
+//! sink.sample_up_to(250); // epochs [0,100) and [100,200) elapsed
 //! assert_eq!(sink.series(hits).windows().count(), 2);
 //! assert!(sink.to_csv().contains("tlb.hits"));
 //! ```
 
-// lint:allow-module(shared-mut): this sink is the sanctioned shared-state
-// boundary — handles are Rc<RefCell<..>> by design (DESIGN.md §13), and
-// model structures only ever hold the Option<TelemetryHandle> defined here.
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
+pub use crate::probe::CounterKind;
 use crate::stats::TimeSeries;
 use crate::time::Cycle;
-
-/// How a registered metric is folded into per-epoch samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CounterKind {
-    /// Monotone cumulative count; each epoch records the delta since the
-    /// previous epoch.
-    Counter,
-    /// Instantaneous level; each epoch records the absolute value.
-    Gauge,
-}
 
 /// Registration record for one counter or gauge.
 #[derive(Debug, Clone)]
@@ -152,11 +133,6 @@ impl TelemetrySink {
             epochs: 0,
             grid: None,
         }
-    }
-
-    /// An empty registry ready to be shared with [`TelemetryHandle::of`].
-    pub fn shared(interval: Cycle) -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(Self::new(interval)))
     }
 
     /// Sampling interval in cycles.
@@ -410,32 +386,6 @@ impl TelemetrySink {
     }
 }
 
-/// A cloneable, shared handle to a [`TelemetrySink`], mirroring the trace
-/// feature's `TraceHandle`. Model structures store
-/// `Option<TelemetryHandle>` (the sanctioned optional-handle pattern,
-/// enforced by xtask lint rule d5) and publish through
-/// [`TelemetryHandle::with`].
-#[derive(Debug, Clone)]
-pub struct TelemetryHandle(Rc<RefCell<TelemetrySink>>);
-
-impl TelemetryHandle {
-    /// Wraps a fresh sink.
-    pub fn new(sink: TelemetrySink) -> Self {
-        Self(Rc::new(RefCell::new(sink)))
-    }
-
-    /// Shares an existing sink, so the caller keeps access to the recorded
-    /// samples after the simulation is done with the handle.
-    pub fn of(sink: &Rc<RefCell<TelemetrySink>>) -> Self {
-        Self(Rc::clone(sink))
-    }
-
-    /// Runs `f` with mutable access to the sink.
-    pub fn with<R>(&self, f: impl FnOnce(&mut TelemetrySink) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,15 +513,5 @@ mod tests {
     fn heatmap_requires_a_grid() {
         let s = TelemetrySink::new(10);
         assert!(s.heatmap().is_none());
-    }
-
-    #[test]
-    fn handle_shares_one_sink() {
-        let sink = TelemetrySink::shared(10);
-        let a = TelemetryHandle::of(&sink);
-        let b = a.clone();
-        let id = a.with(|t| t.register("x", 0, None, CounterKind::Gauge));
-        b.with(|t| t.set(id, 42));
-        assert_eq!(sink.borrow().values[id], 42);
     }
 }

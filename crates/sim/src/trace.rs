@@ -3,10 +3,10 @@
 //! A [`TraceSink`] records cycle-stamped span events for each translation
 //! request's journey through the simulator: issue, L1/L2 TLB probes, cuckoo
 //! filter checks, local walks, per-hop NoC timing, and the remote
-//! peer-cache / redirection / IOMMU resolution path. Model structures hold
-//! an `Option<TraceHandle>` exactly like the `audit` feature's optional
-//! auditor handle (see `audit.rs`), so a build without the feature — or a
-//! run that never attaches a sink — pays nothing and simulates identically.
+//! peer-cache / redirection / IOMMU resolution path. Model structures emit
+//! through their [`Probe`](crate::probe::Probe); a build without the
+//! feature — or a run that never attaches a sink — pays nothing and
+//! simulates identically.
 //!
 //! # Determinism contract (DESIGN.md §10)
 //!
@@ -22,27 +22,18 @@
 //! # Example
 //!
 //! ```
-//! use wsg_sim::trace::{TraceHandle, TraceSink};
+//! use wsg_sim::trace::TraceSink;
 //!
-//! let sink = TraceSink::shared();
-//! let handle = TraceHandle::of(&sink);
-//! handle.with(|s| {
-//!     s.set_context(100, 7);
-//!     s.instant("tlb.miss", 3, 0x42);
-//!     s.complete("remote", 100, 250, 3, 0);
-//! });
-//! let sink = sink.borrow();
+//! let mut sink = TraceSink::new();
+//! sink.set_context(100, 7);
+//! sink.instant("tlb.miss", 3, 0x42);
+//! sink.complete("remote", 100, 250, 3, 0);
 //! assert_eq!(sink.len(), 2);
 //! assert!(sink.to_chrome_json().contains("\"name\":\"remote\""));
 //! ```
 
-// lint:allow-module(shared-mut): this sink is the sanctioned shared-state
-// boundary — handles are Rc<RefCell<..>> by design (DESIGN.md §13), and
-// model structures only ever hold the Option<TraceHandle> defined here.
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 use crate::time::Cycle;
 
@@ -159,11 +150,6 @@ impl TraceSink {
             now: 0,
             req: NO_REQ,
         }
-    }
-
-    /// An empty sink ready to be shared with [`TraceHandle::of`].
-    pub fn shared() -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(Self::new()))
     }
 
     /// Sets the current `(cycle, request)` context used to stamp instants.
@@ -285,31 +271,6 @@ impl TraceSink {
     }
 }
 
-/// A cloneable, shared handle to a [`TraceSink`], mirroring the audit
-/// feature's `AuditHandle`. Model structures store `Option<TraceHandle>`
-/// (the sanctioned optional-handle pattern, enforced by xtask lint rule d5)
-/// and emit through [`TraceHandle::with`].
-#[derive(Debug, Clone)]
-pub struct TraceHandle(Rc<RefCell<TraceSink>>);
-
-impl TraceHandle {
-    /// Wraps a fresh sink.
-    pub fn new(sink: TraceSink) -> Self {
-        Self(Rc::new(RefCell::new(sink)))
-    }
-
-    /// Shares an existing sink, so the caller keeps access to the recorded
-    /// events after the simulation is done with the handle.
-    pub fn of(sink: &Rc<RefCell<TraceSink>>) -> Self {
-        Self(Rc::clone(sink))
-    }
-
-    /// Runs `f` with mutable access to the sink.
-    pub fn with<R>(&self, f: impl FnOnce(&mut TraceSink) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,15 +377,5 @@ mod tests {
             Some("remote,2,400,200.00,100,300,300,100,300")
         );
         assert_eq!(lines.next(), Some("walk,1,10,10.00,10,10,10,10,10"));
-    }
-
-    #[test]
-    fn handle_shares_one_sink() {
-        let sink = TraceSink::shared();
-        let a = TraceHandle::of(&sink);
-        let b = a.clone();
-        a.with(|s| s.instant("issue", 0, 0));
-        b.with(|s| s.instant("issue", 0, 1));
-        assert_eq!(sink.borrow().len(), 2);
     }
 }

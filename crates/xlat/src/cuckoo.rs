@@ -44,14 +44,8 @@ pub struct CuckooFilter {
     bucket_mask: u64,
     len: usize,
     kicks: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
+    #[cfg(feature = "probe")]
+    probe: Option<wsg_sim::probe::Probe>,
 }
 
 impl CuckooFilter {
@@ -70,55 +64,29 @@ impl CuckooFilter {
             bucket_mask: num_buckets as u64 - 1,
             len: 0,
             kicks: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
+            #[cfg(feature = "probe")]
+            probe: None,
         }
     }
 
-    /// Attaches a tracer recording membership-test outcomes under instance
-    /// id `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
+    /// Attaches the probe that reports membership-test outcomes (trace)
+    /// and publishes occupancy and relocation counters (telemetry),
+    /// starting from the filter's current contents.
+    #[cfg(feature = "probe")]
+    pub fn attach_probe(&mut self, mut probe: wsg_sim::probe::Probe) {
+        use wsg_sim::probe::CounterKind::{Counter, Gauge};
+        probe.register(&[("cuckoo.occupancy", Gauge), ("cuckoo.kicks", Counter)]);
+        self.probe = Some(probe);
+        self.report(|_| {});
     }
 
-    /// Attaches the telemetry flight recorder, registering this filter's
-    /// occupancy and relocation metrics under instance id `site`
-    /// (optionally tagged with a wafer tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::{Counter, Gauge};
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("cuckoo.occupancy", site, tile, Gauge);
-            t.register("cuckoo.kicks", site, tile, Counter);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current occupancy and cumulative kick counts into the
-    /// attached recorder (a no-op without one). The engine calls this at
-    /// each epoch boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.len as u64);
-                t.set(base + 1, self.kicks);
-            });
+    /// Reports one state change to the attached probe and republishes the
+    /// counters it may have moved.
+    #[cfg(feature = "probe")]
+    fn report(&self, event: impl FnOnce(&wsg_sim::probe::Probe)) {
+        if let Some(p) = &self.probe {
+            event(p);
+            p.publish(0, || [self.len as u64, self.kicks]);
         }
     }
 
@@ -144,6 +112,15 @@ impl CuckooFilter {
     /// fingerprint (callers should treat this as "filter saturated" and
     /// rebuild or accept degraded accuracy).
     pub fn insert(&mut self, key: u64) -> bool {
+        let placed = self.place_key(key);
+        #[cfg(feature = "probe")]
+        self.report(|_| {});
+        placed
+    }
+
+    /// The insertion itself: direct placement, then up to `MAX_KICKS`
+    /// displacements.
+    fn place_key(&mut self, key: u64) -> bool {
         let fp = Self::fingerprint(key);
         let i1 = self.index1(key);
         let i2 = self.index2(i1, fp);
@@ -189,11 +166,8 @@ impl CuckooFilter {
         let i1 = self.index1(key);
         let i2 = self.index2(i1, fp);
         let hit = self.buckets[i1].contains(&fp) || self.buckets[i2].contains(&fp);
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            let stage = if hit { "cuckoo.hit" } else { "cuckoo.miss" };
-            tr.with(|s| s.instant(stage, self.trace_site, key));
-        }
+        #[cfg(feature = "probe")]
+        self.report(|p| p.instant(if hit { "cuckoo.hit" } else { "cuckoo.miss" }, key));
         hit
     }
 
@@ -210,6 +184,8 @@ impl CuckooFilter {
                 if *slot == fp {
                     *slot = 0;
                     self.len -= 1;
+                    #[cfg(feature = "probe")]
+                    self.report(|_| {});
                     return true;
                 }
             }

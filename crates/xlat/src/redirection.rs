@@ -54,18 +54,8 @@ pub struct RedirectionTable {
     tail: usize,
     hits: u64,
     misses: u64,
-    #[cfg(feature = "audit")]
-    auditor: Option<wsg_sim::audit::AuditHandle>,
-    #[cfg(feature = "audit")]
-    audit_site: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
+    #[cfg(feature = "probe")]
+    probe: Option<wsg_sim::probe::Probe>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -93,93 +83,33 @@ impl RedirectionTable {
             tail: NIL,
             hits: 0,
             misses: 0,
-            #[cfg(feature = "audit")]
-            auditor: None,
-            #[cfg(feature = "audit")]
-            audit_site: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
+            #[cfg(feature = "probe")]
+            probe: None,
         }
     }
 
-    /// Attaches an auditor observing entry creation and removal under
-    /// instance id `site`.
-    #[cfg(feature = "audit")]
-    pub fn set_auditor(&mut self, auditor: wsg_sim::audit::AuditHandle, site: u64) {
-        self.auditor = Some(auditor);
-        self.audit_site = site;
+    /// Attaches the probe that reports lookups and insertions (trace),
+    /// entry creation and removal (audit), and publishes hit/miss/occupancy
+    /// counters (telemetry).
+    #[cfg(feature = "probe")]
+    pub fn attach_probe(&mut self, mut probe: wsg_sim::probe::Probe) {
+        use wsg_sim::probe::CounterKind::{Counter, Gauge};
+        probe.register(&[
+            ("redir.hits", Counter),
+            ("redir.misses", Counter),
+            ("redir.occupancy", Gauge),
+        ]);
+        self.probe = Some(probe);
+        self.report(|_| {});
     }
 
-    /// Attaches a tracer recording lookup outcomes and insertions under
-    /// instance id `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
-    }
-
-    /// Attaches the telemetry flight recorder, registering this table's
-    /// lookup and occupancy metrics under instance id `site` (optionally
-    /// tagged with a wafer tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::{Counter, Gauge};
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("redir.hits", site, tile, Counter);
-            t.register("redir.misses", site, tile, Counter);
-            t.register("redir.occupancy", site, tile, Gauge);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current cumulative counters into the attached recorder (a
-    /// no-op without one). The engine calls this at each epoch boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.hits());
-                t.set(base + 1, self.misses());
-                t.set(base + 2, self.len() as u64);
-            });
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    fn trace_event(&self, stage: &'static str, vpn: Vpn) {
-        if let Some(tr) = &self.tracer {
-            tr.with(|s| s.instant(stage, self.trace_site, vpn.0));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_fill(&self) {
-        if let Some(a) = &self.auditor {
-            let site =
-                wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Redirection, self.audit_site);
-            a.with(|au| au.on_fill(site, self.index.len(), self.capacity));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_evict(&self) {
-        if let Some(a) = &self.auditor {
-            let site =
-                wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Redirection, self.audit_site);
-            a.with(|au| au.on_evict(site, self.index.len()));
+    /// Reports one state change to the attached probe and republishes the
+    /// counters it may have moved.
+    #[cfg(feature = "probe")]
+    fn report(&self, event: impl FnOnce(&wsg_sim::probe::Probe)) {
+        if let Some(p) = &self.probe {
+            event(p);
+            p.publish(0, || [self.hits, self.misses, self.index.len() as u64]);
         }
     }
 
@@ -235,8 +165,8 @@ impl RedirectionTable {
         };
         self.index.insert(vpn.0, i);
         self.push_front(i);
-        #[cfg(feature = "audit")]
-        self.audit_fill();
+        #[cfg(feature = "probe")]
+        self.report(|p| p.fill(self.index.len(), self.capacity));
     }
 
     /// Removes the least-recently-used entry.
@@ -248,8 +178,8 @@ impl RedirectionTable {
         self.unlink(i);
         self.index.remove(self.arena[i].vpn.0);
         self.free.push(i);
-        #[cfg(feature = "audit")]
-        self.audit_evict();
+        #[cfg(feature = "probe")]
+        self.report(|p| p.evict(self.index.len()));
     }
 
     /// Records that `gpm` now holds the translation for `vpn`, evicting the
@@ -259,8 +189,8 @@ impl RedirectionTable {
             self.evict_lru();
         }
         self.touch(vpn, gpm);
-        #[cfg(feature = "trace")]
-        self.trace_event("redir.insert", vpn);
+        #[cfg(feature = "probe")]
+        self.report(|p| p.instant("redir.insert", vpn.0));
     }
 
     /// Looks up `vpn`, refreshing its LRU position on hit. Returns the
@@ -270,14 +200,14 @@ impl RedirectionTable {
             Some(gpm) => {
                 self.hits += 1;
                 self.touch(vpn, gpm);
-                #[cfg(feature = "trace")]
-                self.trace_event("redir.hit", vpn);
+                #[cfg(feature = "probe")]
+                self.report(|p| p.instant("redir.hit", vpn.0));
                 Some(gpm)
             }
             None => {
                 self.misses += 1;
-                #[cfg(feature = "trace")]
-                self.trace_event("redir.miss", vpn);
+                #[cfg(feature = "probe")]
+                self.report(|p| p.instant("redir.miss", vpn.0));
                 None
             }
         }
@@ -295,8 +225,8 @@ impl RedirectionTable {
             Some(i) => {
                 self.unlink(i);
                 self.free.push(i);
-                #[cfg(feature = "audit")]
-                self.audit_evict();
+                #[cfg(feature = "probe")]
+                self.report(|p| p.evict(self.index.len()));
                 true
             }
             None => false,

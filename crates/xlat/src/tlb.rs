@@ -96,18 +96,8 @@ pub struct Tlb {
     hits: u64,
     misses: u64,
     prefetched_hits: u64,
-    #[cfg(feature = "audit")]
-    auditor: Option<wsg_sim::audit::AuditHandle>,
-    #[cfg(feature = "audit")]
-    audit_site: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
+    #[cfg(feature = "probe")]
+    probe: Option<wsg_sim::probe::Probe>,
 }
 
 impl Tlb {
@@ -133,90 +123,33 @@ impl Tlb {
             hits: 0,
             misses: 0,
             prefetched_hits: 0,
-            #[cfg(feature = "audit")]
-            auditor: None,
-            #[cfg(feature = "audit")]
-            audit_site: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
+            #[cfg(feature = "probe")]
+            probe: None,
         }
     }
 
-    /// Attaches an auditor observing fills and evictions under instance id
-    /// `site`.
-    #[cfg(feature = "audit")]
-    pub fn set_auditor(&mut self, auditor: wsg_sim::audit::AuditHandle, site: u64) {
-        self.auditor = Some(auditor);
-        self.audit_site = site;
+    /// Attaches the probe that reports lookups (trace), fills and
+    /// evictions (audit), and publishes hit/miss/occupancy counters
+    /// (telemetry).
+    #[cfg(feature = "probe")]
+    pub fn attach_probe(&mut self, mut probe: wsg_sim::probe::Probe) {
+        use wsg_sim::probe::CounterKind::{Counter, Gauge};
+        probe.register(&[
+            ("tlb.hits", Counter),
+            ("tlb.misses", Counter),
+            ("tlb.occupancy", Gauge),
+        ]);
+        self.probe = Some(probe);
+        self.report(|_| {});
     }
 
-    /// Attaches a tracer recording lookup outcomes under instance id `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
-    }
-
-    /// Attaches the telemetry flight recorder, registering this TLB's
-    /// counters under instance id `site` (optionally tagged with a wafer
-    /// tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::{Counter, Gauge};
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("tlb.hits", site, tile, Counter);
-            t.register("tlb.misses", site, tile, Counter);
-            t.register("tlb.occupancy", site, tile, Gauge);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current cumulative counters into the attached recorder (a
-    /// no-op without one). The engine calls this at each epoch boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.hits);
-                t.set(base + 1, self.misses);
-                t.set(base + 2, self.occupancy() as u64);
-            });
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    fn trace_lookup(&self, stage: &'static str, vpn: Vpn) {
-        if let Some(tr) = &self.tracer {
-            tr.with(|s| s.instant(stage, self.trace_site, vpn.0));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_fill(&self) {
-        if let Some(a) = &self.auditor {
-            let site = wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Tlb, self.audit_site);
-            a.with(|au| au.on_fill(site, self.occupancy(), self.cfg.entries()));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_evict(&self, occupancy: usize) {
-        if let Some(a) = &self.auditor {
-            let site = wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Tlb, self.audit_site);
-            a.with(|au| au.on_evict(site, occupancy));
+    /// Reports one state change to the attached probe and republishes the
+    /// counters it may have moved.
+    #[cfg(feature = "probe")]
+    fn report(&self, event: impl FnOnce(&wsg_sim::probe::Probe)) {
+        if let Some(p) = &self.probe {
+            event(p);
+            p.publish(0, || [self.hits, self.misses, self.occupancy() as u64]);
         }
     }
 
@@ -269,14 +202,14 @@ impl Tlb {
                 if was_prefetched {
                     self.prefetched_hits += 1;
                 }
-                #[cfg(feature = "trace")]
-                self.trace_lookup("tlb.hit", vpn);
+                #[cfg(feature = "probe")]
+                self.report(|p| p.instant("tlb.hit", vpn.0));
                 Some((self.pfns[idx], was_prefetched))
             }
             None => {
                 self.misses += 1;
-                #[cfg(feature = "trace")]
-                self.trace_lookup("tlb.miss", vpn);
+                #[cfg(feature = "probe")]
+                self.report(|p| p.instant("tlb.miss", vpn.0));
                 None
             }
         }
@@ -357,8 +290,8 @@ impl Tlb {
         if free != 0 {
             let way = free.trailing_zeros() as usize;
             self.write_entry(set, way, vpn, pfn, tick, prefetched);
-            #[cfg(feature = "audit")]
-            self.audit_fill();
+            #[cfg(feature = "probe")]
+            self.report(|p| p.fill(self.occupancy(), self.cfg.entries()));
             return None;
         }
         // Every way is valid: replace the set's LRU entry — the first way
@@ -373,11 +306,12 @@ impl Tlb {
         }
         let evicted = (self.vpns[start + victim], self.pfns[start + victim]);
         self.write_entry(set, victim, vpn, pfn, tick, prefetched);
-        #[cfg(feature = "audit")]
-        {
-            self.audit_evict(self.occupancy() - 1);
-            self.audit_fill();
-        }
+        #[cfg(feature = "probe")]
+        self.report(|p| {
+            let occupancy = self.occupancy();
+            p.evict(occupancy - 1);
+            p.fill(occupancy, self.cfg.entries());
+        });
         Some(evicted)
     }
 
@@ -391,9 +325,9 @@ impl Tlb {
             }
             None => false,
         };
-        #[cfg(feature = "audit")]
+        #[cfg(feature = "probe")]
         if hit {
-            self.audit_evict(self.occupancy());
+            self.report(|p| p.evict(self.occupancy()));
         }
         hit
     }

@@ -54,18 +54,8 @@ pub struct WalkerPool<T> {
     queued: u64,
     rejected: u64,
     coalesced: u64,
-    #[cfg(feature = "audit")]
-    auditor: Option<wsg_sim::audit::AuditHandle>,
-    #[cfg(feature = "audit")]
-    audit_site: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
+    #[cfg(feature = "probe")]
+    probe: Option<wsg_sim::probe::Probe>,
 }
 
 impl<T> WalkerPool<T> {
@@ -91,96 +81,43 @@ impl<T> WalkerPool<T> {
             queued: 0,
             rejected: 0,
             coalesced: 0,
-            #[cfg(feature = "audit")]
-            auditor: None,
-            #[cfg(feature = "audit")]
-            audit_site: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
+            #[cfg(feature = "probe")]
+            probe: None,
         }
     }
 
-    /// Attaches an auditor observing PW-queue occupancy under instance id
-    /// `site`.
-    #[cfg(feature = "audit")]
-    pub fn set_auditor(&mut self, auditor: wsg_sim::audit::AuditHandle, site: u64) {
-        self.auditor = Some(auditor);
-        self.audit_site = site;
+    /// Attaches the probe that reports submit outcomes and queue
+    /// promotions (trace), PW-queue occupancy (audit), and publishes the
+    /// pool's load and throughput counters (telemetry).
+    #[cfg(feature = "probe")]
+    pub fn attach_probe(&mut self, mut probe: wsg_sim::probe::Probe) {
+        use wsg_sim::probe::CounterKind::{Counter, Gauge};
+        probe.register(&[
+            ("walkers.busy", Gauge),
+            ("walkers.queue", Gauge),
+            ("walkers.started", Counter),
+            ("walkers.coalesced", Counter),
+            ("walkers.rejected", Counter),
+        ]);
+        self.probe = Some(probe);
+        self.report(|_| {});
     }
 
-    /// Attaches a tracer recording submit outcomes and queue promotions
-    /// under instance id `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
-    }
-
-    /// Attaches the telemetry flight recorder, registering this pool's
-    /// load and throughput metrics under instance id `site` (optionally
-    /// tagged with a wafer tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::{Counter, Gauge};
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("walkers.busy", site, tile, Gauge);
-            t.register("walkers.queue", site, tile, Gauge);
-            t.register("walkers.started", site, tile, Counter);
-            t.register("walkers.coalesced", site, tile, Counter);
-            t.register("walkers.rejected", site, tile, Counter);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current load and cumulative counters into the attached
-    /// recorder (a no-op without one). The engine calls this at each epoch
-    /// boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.busy as u64);
-                t.set(base + 1, self.queue.len() as u64);
-                t.set(base + 2, self.started);
-                t.set(base + 3, self.coalesced);
-                t.set(base + 4, self.rejected);
+    /// Reports one state change to the attached probe and republishes the
+    /// counters it may have moved.
+    #[cfg(feature = "probe")]
+    fn report(&self, event: impl FnOnce(&wsg_sim::probe::Probe)) {
+        if let Some(p) = &self.probe {
+            event(p);
+            p.publish(0, || {
+                [
+                    self.busy as u64,
+                    self.queue.len() as u64,
+                    self.started,
+                    self.coalesced,
+                    self.rejected,
+                ]
             });
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    fn trace_event(&self, stage: &'static str, arg: u64) {
-        if let Some(tr) = &self.tracer {
-            tr.with(|s| s.instant(stage, self.trace_site, arg));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_queue_fill(&self) {
-        if let Some(a) = &self.auditor {
-            let site = wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Walker, self.audit_site);
-            a.with(|au| au.on_fill(site, self.queue.len(), self.queue_capacity));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_queue_evict(&self, occupancy: usize) {
-        if let Some(a) = &self.auditor {
-            let site = wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Walker, self.audit_site);
-            a.with(|au| au.on_evict(site, occupancy));
         }
     }
 
@@ -193,21 +130,22 @@ impl<T> WalkerPool<T> {
         if self.busy < self.walkers {
             self.busy += 1;
             self.started += 1;
-            #[cfg(feature = "trace")]
-            self.trace_event("walk.start", self.busy as u64);
+            #[cfg(feature = "probe")]
+            self.report(|p| p.instant("walk.start", self.busy as u64));
             SubmitResult::Started
         } else if self.queue.len() < self.queue_capacity {
             self.queue.push_back(token);
             self.queued += 1;
-            #[cfg(feature = "audit")]
-            self.audit_queue_fill();
-            #[cfg(feature = "trace")]
-            self.trace_event("walk.queue", self.queue.len() as u64);
+            #[cfg(feature = "probe")]
+            self.report(|p| {
+                p.fill(self.queue.len(), self.queue_capacity);
+                p.instant("walk.queue", self.queue.len() as u64);
+            });
             SubmitResult::Queued
         } else {
             self.rejected += 1;
-            #[cfg(feature = "trace")]
-            self.trace_event("walk.reject", self.queue.len() as u64);
+            #[cfg(feature = "probe")]
+            self.report(|p| p.instant("walk.reject", self.queue.len() as u64));
             SubmitResult::Rejected
         }
     }
@@ -226,14 +164,17 @@ impl<T> WalkerPool<T> {
                 // The freed walker immediately picks up the next request;
                 // `busy` stays unchanged.
                 self.started += 1;
-                #[cfg(feature = "audit")]
-                self.audit_queue_evict(self.queue.len());
-                #[cfg(feature = "trace")]
-                self.trace_event("walk.promote", self.queue.len() as u64);
+                #[cfg(feature = "probe")]
+                self.report(|p| {
+                    p.evict(self.queue.len());
+                    p.instant("walk.promote", self.queue.len() as u64);
+                });
                 Some(next)
             }
             None => {
                 self.busy -= 1;
+                #[cfg(feature = "probe")]
+                self.report(|_| {});
                 None
             }
         }
@@ -269,11 +210,15 @@ impl<T> WalkerPool<T> {
         std::mem::swap(&mut self.queue, &mut self.kept);
         let n = out.len() - start;
         self.coalesced += n as u64;
-        #[cfg(feature = "audit")]
-        for i in 0..n {
-            // One evict per drained request, with the intermediate occupancy
-            // each removal would have left.
-            self.audit_queue_evict(self.queue.len() + n - 1 - i);
+        #[cfg(feature = "probe")]
+        if n > 0 {
+            self.report(|p| {
+                // One evict per drained request, with the intermediate
+                // occupancy each removal would have left.
+                for i in 0..n {
+                    p.evict(self.queue.len() + n - 1 - i);
+                }
+            });
         }
         n
     }

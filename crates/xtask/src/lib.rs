@@ -1,7 +1,8 @@
 //! Determinism lint pass for the HDPAT workspace
 //! (`cargo run -p xtask -- lint`).
 //!
-//! Ten rules, documented in DESIGN.md §13 ("Static analysis"):
+//! Nine rules, documented in DESIGN.md §13 ("Static analysis"); code d8
+//! is retired (see below):
 //!
 //! * `map-iter` (d1) — no iteration over `HashMap`/`HashSet` in library code.
 //!   Hash iteration order depends on `RandomState`, so any model behaviour or
@@ -20,12 +21,12 @@
 //! * `unwrap` (d4) — no `.unwrap()` / `.expect(...)` in non-test library code
 //!   of the five model crates (sim, noc, xlat, mem, gpu). Panics there abort
 //!   mid-simulation with no indication of which seed/config was running.
-//! * `hook-pattern` (d5) — observability handles (`AuditHandle`,
-//!   `TraceHandle`) must be held as `Option<...>` fields attached via a
-//!   `set_*` method, never stored directly. A mandatory handle would make
-//!   the audit/trace features load-bearing instead of purely observational
-//!   (DESIGN.md §10). Function signatures are exempt — attach methods take
-//!   the handle by value before storing it optionally.
+//! * `hook-pattern` (d5) — the observability handle (`Probe`) must be held
+//!   as an `Option<Probe>` field attached via `attach_probe`, never stored
+//!   directly. A mandatory handle would make the audit/trace/telemetry
+//!   features load-bearing instead of purely observational (DESIGN.md §10).
+//!   Function signatures are exempt — attach methods take the handle by
+//!   value before storing it optionally.
 //! * `default-hash` (d6) — no `std::collections::HashMap`/`HashSet` at all in
 //!   simulator-crate library code. Even without iteration (which d1 catches),
 //!   the default `RandomState` hasher seeds from process entropy, so capacity
@@ -37,14 +38,13 @@
 //!   `Cell<..>`, `static mut`, `thread_local!`) in simulator-crate library
 //!   code. Every such site is state that two threads could reach at once
 //!   and that pins the engine to one thread. The sanctioned homes are the
-//!   audit/trace/telemetry sinks in `crates/sim` (module-scoped allows) and
-//!   the engine hook fields that hold them in `crates/core/src/sim/mod.rs`.
-//! * `site-registry` (d8) — audit/trace/telemetry site-id registrations are
-//!   statically collected and model-checked: site expressions are evaluated
-//!   under small and large wafer configurations, and the pass fails on id
-//!   collisions (the PR 4 fig21 L1-TLB class, previously only caught at
-//!   runtime) or on a component registering with one observability sink but
-//!   not the others. See [`registry`].
+//!   probe module `crates/sim/src/probe.rs` (a module-scoped allow) and the
+//!   engine's auditor field in `crates/core/src/sim/mod.rs`.
+//! * d8 (`site-registry`) is retired: it statically evaluated the three
+//!   hook systems' site-id expressions to prove they agreed. With one probe
+//!   per component, the engine claims every site id once in a runtime
+//!   `SiteTable` that panics on a duplicate, and `tests/equivalence.rs`
+//!   attaches it for every GPU preset and the 7×12 wafer.
 //! * `stale-allow` (d9) — every `lint:allow` must still suppress at least
 //!   one hit of its rule and carry a `: justification` suffix; a stale or
 //!   bare allow is itself an error, so the allowlist can never rot. d9
@@ -69,12 +69,11 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub mod registry;
 pub mod scope;
 
 use scope::PreSource;
 
-/// The ten determinism rules.
+/// The nine determinism rules (code d8 is retired).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// d1: iteration over a hash-ordered collection.
@@ -91,8 +90,6 @@ pub enum Rule {
     DefaultHash,
     /// d7: shared interior mutability outside the sanctioned sinks.
     SharedMut,
-    /// d8: an observability site-id collision or sink-coverage gap.
-    SiteRegistry,
     /// d9: a `lint:allow` that no longer fires, or lacks a justification.
     StaleAllow,
     /// d10: a host-side field read inside `to_deterministic_string`.
@@ -101,7 +98,7 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in code order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 9] = [
         Rule::MapIter,
         Rule::Wallclock,
         Rule::FloatCycle,
@@ -109,7 +106,6 @@ impl Rule {
         Rule::HookPattern,
         Rule::DefaultHash,
         Rule::SharedMut,
-        Rule::SiteRegistry,
         Rule::StaleAllow,
         Rule::DetString,
     ];
@@ -124,13 +120,13 @@ impl Rule {
             Rule::HookPattern => "hook-pattern",
             Rule::DefaultHash => "default-hash",
             Rule::SharedMut => "shared-mut",
-            Rule::SiteRegistry => "site-registry",
             Rule::StaleAllow => "stale-allow",
             Rule::DetString => "det-string",
         }
     }
 
-    /// Short code (d1..d10), also accepted inside `lint:allow(...)`.
+    /// Short code (d1..d10, without the retired d8), also accepted inside
+    /// `lint:allow(...)`.
     pub fn code(self) -> &'static str {
         match self {
             Rule::MapIter => "d1",
@@ -140,7 +136,6 @@ impl Rule {
             Rule::HookPattern => "d5",
             Rule::DefaultHash => "d6",
             Rule::SharedMut => "d7",
-            Rule::SiteRegistry => "d8",
             Rule::StaleAllow => "d9",
             Rule::DetString => "d10",
         }
@@ -193,7 +188,6 @@ pub struct RuleSet {
     pub hook_pattern: bool,
     pub default_hash: bool,
     pub shared_mut: bool,
-    pub site_registry: bool,
     pub stale_allow: bool,
     pub det_string: bool,
 }
@@ -208,7 +202,6 @@ impl RuleSet {
             hook_pattern: true,
             default_hash: true,
             shared_mut: true,
-            site_registry: true,
             stale_allow: true,
             det_string: true,
         }
@@ -231,7 +224,6 @@ impl RuleSet {
             Rule::HookPattern => self.hook_pattern,
             Rule::DefaultHash => self.default_hash,
             Rule::SharedMut => self.shared_mut,
-            Rule::SiteRegistry => self.site_registry,
             Rule::StaleAllow => self.stale_allow,
             Rule::DetString => self.det_string,
         }
@@ -510,54 +502,51 @@ fn check_unwrap(path: &str, lineno: usize, code: &str, diags: &mut Vec<Diagnosti
     }
 }
 
-/// The optional-handle hooks that d5 guards. All follow the same pattern:
-/// a structure stores `Option<Handle>` and gains the hook via `set_*`.
-const HOOK_HANDLES: [&str; 3] = ["AuditHandle", "TraceHandle", "TelemetryHandle"];
+/// The optional-handle hook that d5 guards: a structure stores
+/// `Option<Probe>` and gains the hook via `attach_probe`.
+const HOOK_HANDLE: &str = "Probe";
 
 fn check_hook_pattern(path: &str, lineno: usize, code: &str, diags: &mut Vec<Diagnostic>) {
     // Whole-line exemption for signatures: attach methods legitimately take
-    // the handle by value (`fn set_tracer(&mut self, tracer: TraceHandle)`).
+    // the handle by value (`fn attach_probe(&mut self, probe: Probe)`).
     if !ident_occurrences(code, "fn").is_empty() {
         return;
     }
     let bytes = code.as_bytes();
-    for needle in HOOK_HANDLES {
-        for occ in ident_occurrences(code, needle) {
-            let after = &code[occ + needle.len()..];
-            if after.starts_with("::") {
-                continue; // path expression (`TraceHandle::of`), not a type
-            }
-            // Walk back over qualifying path segments (`wsg_sim::trace::`)
-            // to where the full type path begins.
-            let mut i = occ;
-            while i >= 2 && bytes[i - 2] == b':' && bytes[i - 1] == b':' {
-                i -= 2;
-                while i > 0 && is_ident_byte(bytes[i - 1]) {
-                    i -= 1;
-                }
-            }
-            // Only type-ascription position is suspect: a single `:` binding
-            // the bare handle type to a field or binding. `Option<Handle>`
-            // fails this test naturally (the path is preceded by `<`).
-            let mut j = i;
-            while j > 0 && bytes[j - 1].is_ascii_whitespace() {
-                j -= 1;
-            }
-            if j == 0 || bytes[j - 1] != b':' || (j >= 2 && bytes[j - 2] == b':') {
-                continue;
-            }
-            diags.push(diag(
-                path,
-                lineno,
-                Rule::HookPattern,
-                format!(
-                    "`{needle}` stored directly; observability hooks must stay optional \
-                     (`Option<{needle}>` plus a set_* attach method, like the audit \
-                     pattern) or annotate lint:allow(hook-pattern)"
-                ),
-            ));
-            break;
+    for occ in ident_occurrences(code, HOOK_HANDLE) {
+        if code[occ + HOOK_HANDLE.len()..].starts_with("::") {
+            continue; // path expression (`Probe::new`), not a type
         }
+        // Walk back over qualifying path segments (`wsg_sim::probe::`) to
+        // where the full type path begins.
+        let mut i = occ;
+        while i >= 2 && bytes[i - 2] == b':' && bytes[i - 1] == b':' {
+            i -= 2;
+            while i > 0 && is_ident_byte(bytes[i - 1]) {
+                i -= 1;
+            }
+        }
+        // Only type-ascription position is suspect: a single `:` binding the
+        // bare handle type to a field or binding. `Option<Probe>` fails this
+        // test naturally (the path is preceded by `<`).
+        let mut j = i;
+        while j > 0 && bytes[j - 1].is_ascii_whitespace() {
+            j -= 1;
+        }
+        if j == 0 || bytes[j - 1] != b':' || (j >= 2 && bytes[j - 2] == b':') {
+            continue;
+        }
+        diags.push(diag(
+            path,
+            lineno,
+            Rule::HookPattern,
+            format!(
+                "`{HOOK_HANDLE}` stored directly; the observability hook must stay optional \
+                 (`Option<{HOOK_HANDLE}>` plus an attach_probe method) or annotate \
+                 lint:allow(hook-pattern)"
+            ),
+        ));
+        break;
     }
 }
 
@@ -725,8 +714,8 @@ pub struct FileAnalysis {
     pub raw_diags: Vec<Diagnostic>,
 }
 
-/// Runs every per-line check on one source text. d8 (cross-line, possibly
-/// cross-file) and d9 (needs suppression results) run later in [`finalize`].
+/// Runs every per-line check on one source text. d9 (needs suppression
+/// results) runs later in [`finalize`].
 pub fn analyze_file(path: &str, source: &str, rules: RuleSet) -> FileAnalysis {
     let pre = scope::preprocess(source);
     let mut map_idents = BTreeSet::new();
@@ -818,15 +807,13 @@ impl FileAnalysis {
 }
 
 /// Applies allow suppression and the d9 stale-allow audit across a set of
-/// analysed files, plus any cross-file diagnostics (d8) routed to the file
-/// that owns their line. Returns the surviving diagnostics sorted by
+/// analysed files. Returns the surviving diagnostics sorted by
 /// (path, line, rule).
-pub fn finalize(files: Vec<FileAnalysis>, cross: Vec<Diagnostic>) -> Vec<Diagnostic> {
+pub fn finalize(files: Vec<FileAnalysis>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in files {
         let mut used = vec![false; file.pre.allows.len()];
         let mut diags: Vec<Diagnostic> = file.raw_diags.clone();
-        diags.extend(cross.iter().filter(|d| d.path == file.path).cloned());
         diags.retain(|d| match file.covering_allow(d.rule, d.line) {
             Some(ai) => {
                 used[ai] = true;
@@ -884,10 +871,6 @@ pub fn finalize(files: Vec<FileAnalysis>, cross: Vec<Diagnostic>) -> Vec<Diagnos
         }
         out.extend(diags);
     }
-    // Cross diagnostics pointing at files that were not analysed (should not
-    // happen, but never drop a finding silently).
-    // (Files were consumed above; `cross` entries matching no file path were
-    // cloned into none of them.)
     out.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
             b.path.as_str(),
@@ -904,23 +887,17 @@ pub fn finalize(files: Vec<FileAnalysis>, cross: Vec<Diagnostic>) -> Vec<Diagnos
 // ---------------------------------------------------------------------------
 
 /// Lints one source text under the given rule set. `path` is used verbatim in
-/// diagnostics. d8 runs against this file's registrations alone.
+/// diagnostics.
 pub fn lint_source(path: &str, source: &str, rules: RuleSet) -> Vec<Diagnostic> {
-    let file = analyze_file(path, source, rules);
-    let cross = if rules.site_registry {
-        registry::check(&registry::collect(&file))
-    } else {
-        Vec::new()
-    };
-    finalize(vec![file], cross)
+    finalize(vec![analyze_file(path, source, rules)])
 }
 
 /// Decides which rules apply to a workspace-relative path.
 ///
 /// * Library code (`src/`) of every crate: `map-iter`, `wallclock`,
 ///   `float-cycle`; plus `unwrap` for the five model crates
-///   (sim, noc, xlat, mem, gpu), and `default-hash`, `shared-mut`,
-///   `site-registry`, and `det-string` for the simulator crates (the five
+///   (sim, noc, xlat, mem, gpu), and `default-hash`, `shared-mut`, and
+///   `det-string` for the simulator crates (the five
 ///   model crates, `core`, `workloads`, and the facade) — the `bench`
 ///   CLI/report code runs host-side and may hash/share freely.
 /// * `crates/sim/src/rng.rs` (the sanctioned entropy boundary) and
@@ -958,7 +935,6 @@ pub fn classify(rel: &Path) -> RuleSet {
                         hook_pattern: true,
                         default_hash: simulator,
                         shared_mut: simulator,
-                        site_registry: simulator,
                         stale_allow: true,
                         det_string: simulator,
                     };
@@ -989,7 +965,6 @@ pub fn classify(rel: &Path) -> RuleSet {
             hook_pattern: true,
             default_hash: true,
             shared_mut: true,
-            site_registry: true,
             stale_allow: true,
             det_string: true,
             ..RuleSet::none()
@@ -1025,8 +1000,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Lints the whole workspace rooted at `root`, classifying each file by its
-/// relative path. Site-id registrations (d8) are merged across files before
-/// checking. File order (and thus diagnostic order) is deterministic.
+/// relative path. File order (and thus diagnostic order) is deterministic.
 pub fn lint_workspace(root: &Path) -> Report {
     let mut paths = Vec::new();
     collect_rs_files(root, &mut paths);
@@ -1044,13 +1018,7 @@ pub fn lint_workspace(root: &Path) -> Report {
         report.files_scanned += 1;
         files.push(analyze_file(&rel.display().to_string(), &source, rules));
     }
-    let mut regs = Vec::new();
-    for file in &files {
-        if file.rules.site_registry {
-            regs.extend(registry::collect(file));
-        }
-    }
-    report.diagnostics = finalize(files, registry::check(&regs));
+    report.diagnostics = finalize(files);
     report
 }
 
@@ -1076,11 +1044,7 @@ pub fn lint_path(path: &Path) -> Report {
             RuleSet::all(),
         ));
     }
-    let mut regs = Vec::new();
-    for file in &files {
-        regs.extend(registry::collect(file));
-    }
-    report.diagnostics = finalize(files, registry::check(&regs));
+    report.diagnostics = finalize(files);
     report
 }
 
@@ -1209,20 +1173,19 @@ mod tests {
     #[test]
     fn hook_pattern_requires_optional_handles() {
         let all = RuleSet::all();
-        let bad = lint_source("t.rs", "pub struct S { tracer: TraceHandle }\n", all);
+        let bad = lint_source("t.rs", "pub struct S { probe: Probe }\n", all);
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].rule, Rule::HookPattern);
-        let qualified = lint_source("t.rs", "    auditor: wsg_sim::audit::AuditHandle,\n", all);
+        let qualified = lint_source("t.rs", "    probe: wsg_sim::probe::Probe,\n", all);
         assert_eq!(qualified.len(), 1);
         for ok in [
-            "    tracer: Option<TraceHandle>,\n",
-            "    auditor: Option<wsg_sim::audit::AuditHandle>,\n",
-            "    pub fn set_tracer(&mut self, tracer: TraceHandle) {\n",
-            "        let h = TraceHandle::of(sink);\n",
-            "use wsg_sim::trace::TraceHandle;\n",
-            // The sink's own storage line is fine for d5 (it IS the shared
-            // handle) — d7 flags it instead.
-            "pub struct TraceHandle(Rc<RefCell<TraceSink>>);\n",
+            "    probe: Option<Probe>,\n",
+            "    probe: Option<wsg_sim::probe::Probe>,\n",
+            "    pub fn attach_probe(&mut self, probe: Probe) {\n",
+            "        let p = Probe::new(sinks, site);\n",
+            "use wsg_sim::probe::Probe;\n",
+            // The probe's own definition is not a stored handle.
+            "pub struct Probe {\n",
         ] {
             assert!(
                 lint_source("t.rs", ok, all)
@@ -1323,7 +1286,7 @@ mod tests {
     fn classify_scopes_rules_by_path() {
         let lib = classify(Path::new("crates/sim/src/event.rs"));
         assert!(lib.map_iter && lib.wallclock && lib.float_cycle && lib.unwrap);
-        assert!(lib.default_hash && lib.shared_mut && lib.site_registry && lib.det_string);
+        assert!(lib.default_hash && lib.shared_mut && lib.det_string);
         assert!(lib.stale_allow);
         let rng = classify(Path::new("crates/sim/src/rng.rs"));
         assert!(!rng.wallclock && rng.map_iter && rng.shared_mut);

@@ -1,29 +1,21 @@
-// Fixture: seeded d5 (hook-pattern) violations. Observability handles must
-// be held as `Option<...>` and attached through a `set_*` method so the
-// audit/trace features stay purely observational.
+// Fixture: seeded d5 (hook-pattern) violations. The observability probe
+// must be held as `Option<Probe>` and attached through `attach_probe` so the
+// audit/trace/telemetry features stay purely observational.
 
-pub struct Probe {
-    tracer: TraceHandle,                  // VIOLATION: hook-pattern
-    auditor: wsg_sim::audit::AuditHandle, // VIOLATION: hook-pattern
-    telemetry: wsg_sim::telemetry::TelemetryHandle, // VIOLATION: hook-pattern
-    ok_tracer: Option<TraceHandle>,       // fine: optional handle
-    ok_auditor: Option<wsg_sim::audit::AuditHandle>, // fine: optional handle
-    ok_telemetry: Option<TelemetryHandle>, // fine: optional handle
+pub struct Component {
+    probe: Probe,                             // VIOLATION: hook-pattern
+    qualified: wsg_sim::probe::Probe,         // VIOLATION: hook-pattern
+    ok_probe: Option<Probe>,                  // fine: optional handle
+    ok_qualified: Option<wsg_sim::probe::Probe>, // fine: optional handle
 }
 
-impl Probe {
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
+impl Component {
+    pub fn attach_probe(&mut self, probe: Probe) {
         // fine above: a signature takes the handle by value to store it.
-        self.ok_tracer = Some(tracer);
+        self.ok_probe = Some(probe);
     }
 
-    pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
-        // fine above: attach signatures may take the handle by value.
-        self.ok_telemetry = Some(telemetry);
-    }
-
-    pub fn attach(&mut self, sink: &Sink) {
-        self.ok_tracer = Some(TraceHandle::of(sink)); // fine: path expression
-        self.ok_telemetry = Some(TelemetryHandle::of(sink)); // fine: path expression
+    pub fn attach(&mut self, table: &mut SiteTable) {
+        self.ok_probe = Some(Probe::unclaimed(table)); // fine: path expression
     }
 }

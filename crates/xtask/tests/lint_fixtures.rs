@@ -119,9 +119,8 @@ fn d5_fixture_reports_each_seeded_violation() {
     assert_eq!(
         hook,
         vec![
-            line_of(&src, "tracer: TraceHandle,"),
-            line_of(&src, "auditor: wsg_sim::audit::AuditHandle,"),
-            line_of(&src, "telemetry: wsg_sim::telemetry::TelemetryHandle,"),
+            line_of(&src, "probe: Probe,"),
+            line_of(&src, "qualified: wsg_sim::probe::Probe,"),
         ],
         "diagnostics: {diags:#?}"
     );
@@ -180,41 +179,6 @@ fn d7_fixture_reports_each_seeded_violation() {
 }
 
 #[test]
-fn d8_fixture_reports_each_seeded_conflict() {
-    let src = fixture("d8_site_registry.rs");
-    let diags = lint_source("d8_site_registry.rs", &src, RuleSet::all());
-    let registry: Vec<&xtask::Diagnostic> = diags
-        .iter()
-        .filter(|d| d.rule == Rule::SiteRegistry)
-        .collect();
-    assert_eq!(diags.len(), registry.len(), "diagnostics: {diags:#?}");
-
-    let at = |needle: &str| line_of(&src, needle);
-    let expect = |line: usize, fragment: &str| {
-        assert!(
-            registry
-                .iter()
-                .any(|d| d.line == line && d.message.contains(fragment)),
-            "expected a d8 diagnostic at line {line} mentioning {fragment:?}, \
-             got: {registry:#?}"
-        );
-    };
-    // Cross-registration collision (walkers reuses gmmu_cache's id), once
-    // per occupancy-mirror sink.
-    expect(at("gpm.walkers.set_auditor"), "both claim id");
-    expect(at("gpm.walkers.set_tracer"), "both claim id");
-    // The fig21 fixed-stride self-collision, once per sink.
-    expect(at("cu.l1_tlb.set_auditor"), "fig21");
-    expect(at("cu.l1_tlb.set_tracer"), "fig21");
-    // Unknown model variable, once per sink.
-    expect(at("gpm.hbm.set_auditor"), "unknown variable");
-    expect(at("gpm.hbm.set_tracer"), "unknown variable");
-    // Coverage parity: cuckoo traces but never audits.
-    expect(at("gpm.cuckoo.set_tracer"), "but not audit");
-    assert_eq!(registry.len(), 7, "diagnostics: {registry:#?}");
-}
-
-#[test]
 fn d9_fixture_reports_each_seeded_violation() {
     let src = fixture("d9_stale_allow.rs");
     let diags = lint_source("d9_stale_allow.rs", &src, RuleSet::all());
@@ -256,45 +220,6 @@ fn d10_fixture_reports_each_seeded_violation() {
     assert_eq!(diags.len(), det.len(), "diagnostics: {diags:#?}");
 }
 
-/// The PR 4 regression class, caught at lint time: reverting the widened
-/// L1-TLB site stride back to the fixed 64 must trip d8's self-collision
-/// check under the 76-CU model environment, while the committed engine
-/// source stays clean.
-#[test]
-fn d8_would_have_caught_the_fig21_fixed_stride_collision() {
-    let engine_rel = "crates/core/src/sim/mod.rs";
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root");
-    let source = std::fs::read_to_string(root.join(engine_rel)).expect("engine source readable");
-    assert!(
-        source.contains("g * cu_stride + c as u64"),
-        "engine no longer computes L1 sites as g * cu_stride + c; update this regression test"
-    );
-
-    let clean = lint_source(engine_rel, &source, xtask::classify(Path::new(engine_rel)));
-    assert!(
-        !clean.iter().any(|d| d.rule == Rule::SiteRegistry),
-        "committed engine source has site-registry diagnostics: {clean:#?}"
-    );
-
-    // The historical bug: a fixed 64 stride, so neighbouring GPMs share L1
-    // site ids on presets with more than 64 CUs per GPM.
-    let reverted = source.replace("g * cu_stride + c as u64", "g * 64 + c as u64");
-    let diags = lint_source(
-        engine_rel,
-        &reverted,
-        xtask::classify(Path::new(engine_rel)),
-    );
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == Rule::SiteRegistry && d.message.contains("fig21")),
-        "expected a fig21 self-collision diagnostic, got: {diags:#?}"
-    );
-}
-
 #[test]
 fn clean_fixture_is_clean() {
     let src = fixture("clean.rs");
@@ -312,7 +237,6 @@ fn cli_exits_nonzero_with_file_line_diagnostics_on_seeded_fixtures() {
         "d5_hook_pattern.rs",
         "d6_default_hash.rs",
         "d7_shared_mut.rs",
-        "d8_site_registry.rs",
         "d9_stale_allow.rs",
         "d10_det_string.rs",
     ] {

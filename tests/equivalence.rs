@@ -1,7 +1,9 @@
 //! Behavioral-equivalence properties of the engine's hot structures: the
 //! struct-of-arrays TLB / MSHR / walker-pool planes must match naive
 //! reference models op for op, and the batched event-queue drain must match
-//! per-event pops (DESIGN.md §16).
+//! per-event pops (DESIGN.md §16). In observability builds the engine's site
+//! table must also hand every structure of every simulated geometry its own
+//! site id (DESIGN.md §8.2).
 
 use proptest::prelude::*;
 
@@ -374,5 +376,45 @@ proptest! {
                 prop_assert_eq!(&got, expected);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Site-id uniqueness (DESIGN.md §8.2). The engine claims every probe's site
+// id once, from one table that panics on a duplicate. Attach it for each
+// geometry the figures simulate: every Fig 21 GPU preset (MI300's 76 CUs per
+// GPM is the case a fixed 64-wide L1-TLB stride aliased) and the Fig 22 7×12
+// wafer, with the Fig 19 IOMMU TLB + MSHR so every structure kind is present.
+// ---------------------------------------------------------------------------
+
+#[cfg(any(feature = "audit", feature = "trace", feature = "telemetry"))]
+#[test]
+fn every_geometry_claims_unique_site_ids() {
+    use hdpat_wafer::prelude::*;
+    use hdpat_wafer::sim::probe::Sinks;
+
+    let mut systems: Vec<SystemConfig> = GpuPreset::all()
+        .into_iter()
+        .map(SystemConfig::with_preset)
+        .collect();
+    systems.push(SystemConfig {
+        layout: WaferLayout::paper_7x12(),
+        ..SystemConfig::paper_baseline()
+    });
+    for system in systems {
+        let gpms = system.gpm_count() as u64;
+        let cus = system.gpm.cus as u64;
+        let policy = PolicyKind::Hdpat(HdpatConfig::with_iommu_tlb());
+        let mut sim = Simulation::new(system, policy, BenchmarkId::Relu, Scale::Unit, 1);
+        let table = sim.attach(Sinks::new());
+        // Per GPM: L2 TLB, GMMU cache, walkers, cuckoo filter, HBM, and one
+        // L1 TLB per CU; then the IOMMU walkers, redirection table, TLB and
+        // TLB MSHR. The table is a set, so a silently merged id would show
+        // up as a short count.
+        assert_eq!(
+            table.len() as u64,
+            gpms * (5 + cus) + 4,
+            "{gpms} GPMs x {cus} CUs: site ids collided"
+        );
     }
 }

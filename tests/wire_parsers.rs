@@ -9,10 +9,18 @@
 //!   one on every attempt, and `bad-request` for anything that is not JSON);
 //! * enforce the nesting-depth cap;
 //! * round-trip every accepted value through the canonical writer.
+//!
+//! The persistent run cache's metrics codec (`Metrics::from_cache_text`) gets
+//! the same treatment, starting from a real encoded run: every truncation,
+//! every single-byte substitution and an oversized count on each
+//! count-carrying line must be rejected with `Err`, random bit flips must
+//! never panic, and the unaltered entry must round-trip byte for byte.
 
 use hdpat_wafer::hdpat::serve::json::Json;
 use hdpat_wafer::hdpat::serve::proto::{self, codes, Request};
+use hdpat_wafer::prelude::{run, BenchmarkId, Metrics, PolicyKind, RunConfig, Scale};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Every code `Request::parse` may return. The remaining codes
 /// (`duplicate-id`, `not-found`, `shutting-down`) depend on daemon state
@@ -217,5 +225,117 @@ fn numbers_keep_their_canonical_identity() {
         "-9223372036854775809",
     ] {
         check_line(line);
+    }
+}
+
+/// A real cache entry: one unit-scale HDPAT run, encoded (once per test
+/// binary). It carries every section of the codec, reuse counts and
+/// time-series windows included.
+fn cache_entry() -> String {
+    static ENTRY: OnceLock<String> = OnceLock::new();
+    ENTRY
+        .get_or_init(|| {
+            run(&RunConfig::new(
+                BenchmarkId::Spmv,
+                Scale::Unit,
+                PolicyKind::hdpat(),
+            ))
+            .to_cache_text()
+        })
+        .clone()
+}
+
+#[test]
+fn cache_entry_round_trips() {
+    let text = cache_entry();
+    assert!(text.lines().any(|l| l.starts_with("c ")), "no reuse counts");
+    assert!(text.lines().any(|l| l.starts_with("w ")), "no windows");
+    let decoded = Metrics::from_cache_text(&text).expect("a fresh entry decodes");
+    assert_eq!(decoded.to_cache_text(), text);
+}
+
+#[test]
+fn every_truncation_of_a_cache_entry_is_rejected() {
+    let text = cache_entry();
+    for end in 0..text.len() {
+        assert!(
+            Metrics::from_cache_text(&text[..end]).is_err(),
+            "truncation to {end} of {} bytes decoded",
+            text.len()
+        );
+    }
+}
+
+#[test]
+fn every_byte_substitution_in_a_cache_entry_is_rejected() {
+    // The encoder writes lowercase keys, digits, hex, `.`, `_`, `-`, `=`,
+    // spaces and newlines only; any byte outside that alphabet, anywhere,
+    // must be caught.
+    let text = cache_entry();
+    for at in 0..text.len() {
+        for poison in [b'#', b'X', 0x7f] {
+            let mut bytes = text.clone().into_bytes();
+            bytes[at] = poison;
+            let altered = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            assert!(
+                Metrics::from_cache_text(&altered).is_err(),
+                "byte {at} ({:?}) replaced by {poison:#x} decoded",
+                text.as_bytes()[at] as char
+            );
+        }
+    }
+}
+
+#[test]
+fn oversized_counts_in_a_cache_entry_are_rejected() {
+    // Each count-carrying line, keyed by its leading token, with the index
+    // of its count field.
+    const COUNTS: [(&str, usize); 6] = [
+        ("gpm_finish", 1),
+        ("iommu_buffer", 2),
+        ("iommu_served", 2),
+        ("iommu_reuse", 2),
+        ("iommu_reuse.hist", 4),
+        ("vpn_delta", 6),
+    ];
+    let text = cache_entry();
+    for (key, field) in COUNTS {
+        for huge in [u64::MAX, 1 << 40, text.lines().count() as u64 + 1] {
+            let altered: String = text
+                .lines()
+                .map(|line| {
+                    let mut tokens: Vec<String> = line.split(' ').map(str::to_string).collect();
+                    if tokens[0] == key {
+                        tokens[field] = huge.to_string();
+                    }
+                    tokens.join(" ") + "\n"
+                })
+                .collect();
+            assert_ne!(altered, text, "{key} line not found");
+            assert!(
+                Metrics::from_cache_text(&altered).is_err(),
+                "{key} count {huge} decoded"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn bit_flipped_cache_entries_never_panic(
+        flips in proptest::collection::vec((any::<usize>(), 1u8..128), 1..4),
+    ) {
+        // Flips inside the ASCII range keep the entry UTF-8; a flip the
+        // codec cannot see (one digit for another) may still decode.
+        let mut bytes = cache_entry().into_bytes();
+        for (at, mask) in flips {
+            let i = at % bytes.len();
+            bytes[i] ^= mask;
+        }
+        if let Ok(text) = String::from_utf8(bytes) {
+            let _ = Metrics::from_cache_text(&text);
+        }
     }
 }
