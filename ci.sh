@@ -5,7 +5,9 @@
 # artifact (DESIGN.md §8.1/§13), rustdoc (warnings denied) + doctests, then the tier-1 build +
 # tests, the full workspace suite, the trace determinism gate (DESIGN.md §10),
 # the telemetry determinism gates (DESIGN.md §12: observational parity plus
-# timeline/heatmap artifacts byte-identical across --jobs), the per-feature
+# timeline/heatmap artifacts byte-identical across --jobs; both gates also
+# run the request-slot goldens), the probe artifact digest check (trace and
+# perfetto files against committed sha256 sums, DESIGN.md §16.5), the per-feature
 # equivalence gates and golden lane (fig14 byte-identical under each of the
 # audit/trace/telemetry builds and all three combined), the
 # EXPERIMENTS.md and PROTOCOL.md drift gates (DESIGN.md §9, §14), the serve
@@ -113,11 +115,13 @@ cargo test -q
 echo "== workspace tests"
 cargo test --workspace -q
 
-echo "== trace determinism gate (tests/trace_determinism.rs)"
+echo "== trace determinism gate (tests/trace_determinism.rs, tests/request_slots.rs)"
 cargo test --features trace --test trace_determinism -q
+cargo test --features trace --test request_slots -q
 
-echo "== telemetry determinism gate (tests/telemetry_determinism.rs)"
+echo "== telemetry determinism gate (tests/telemetry_determinism.rs, tests/request_slots.rs)"
 cargo test --features telemetry --test telemetry_determinism -q
+cargo test --features telemetry --test request_slots -q
 
 echo "== equivalence gate (tests/equivalence.rs, per feature set)"
 cargo test --release --test equivalence -q
@@ -174,6 +178,18 @@ for b in SPMV KM RELU; do
     test "$(wc -l < "target/ci/hm_${b}_${p}_j1.csv")" -gt 1
   done
 done
+
+echo "== probe artifact digests (trace + perfetto, SPMV x naive/hdpat, unit scale)"
+# Request ids in the artifacts are issue serials, not request-slot indices
+# (DESIGN.md §16.5), so slot recycling must not move a single byte.
+cargo build --release -q --features trace,telemetry -p wsg-bench
+for p in naive hdpat; do
+  ./target/release/hdpat-sim trace SPMV --policy "$p" --scale unit \
+      --out "target/ci/trace_SPMV_${p}.json" > /dev/null 2>&1
+  ./target/release/hdpat-sim timeline SPMV --policy "$p" --scale unit \
+      --format perfetto --out "target/ci/perfetto_SPMV_${p}.json" 2> /dev/null
+done
+sha256sum -c tests/golden/probe_artifacts.sha256
 
 # Leave the default (feature-off) binary in place for the drift gate below.
 cargo build --release -q -p wsg-bench

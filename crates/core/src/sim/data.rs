@@ -17,7 +17,7 @@ impl Simulation {
     /// cachelines (the zero-copy model of §II-A).
     pub(crate) fn start_data(&mut self, t: Cycle, req: ReqId, _pfn: wsg_xlat::Pfn) {
         let (gpm_id, cu, vaddr, vpn) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.gpm, r.cu, r.op.vaddr, r.vpn)
         };
         let gc = self.cfg.gpm;
@@ -65,7 +65,7 @@ impl Simulation {
     /// A remote data request reached the home GPM: probe its L2, fall back
     /// to its HBM, and schedule the return trip when the line is ready.
     pub(crate) fn on_data_at_home(&mut self, t: Cycle, req: ReqId, home: u32) {
-        let line = self.reqs[req as usize].op.vaddr & !(self.cfg.data_bytes - 1);
+        let line = self.reqs[req].op.vaddr & !(self.cfg.data_bytes - 1);
         let l2_lat = self.cfg.gpm.l2_cache.hit_latency;
         let data_bytes = self.cfg.data_bytes;
         let served = {
@@ -172,15 +172,15 @@ impl Simulation {
 
     /// The home GPM sends the cacheline back to the requester.
     pub(crate) fn on_data_return(&mut self, t: Cycle, req: ReqId, home: u32) {
-        let gpm_id = self.reqs[req as usize].gpm;
-        let line = self.reqs[req as usize].op.vaddr & !(self.cfg.data_bytes - 1);
+        let gpm_id = self.reqs[req].gpm;
+        let line = self.reqs[req].op.vaddr & !(self.cfg.data_bytes - 1);
         let from = self.gpm_coord(home);
         let to = self.gpm_coord(gpm_id);
         let bytes = self.cfg.data_bytes + 8;
         let out = self.mesh.send(from, to, bytes, t);
         // Cache the remote line locally (caches are flushed at kernel
         // boundaries in the zero-copy model, so this is safe).
-        let cu = self.reqs[req as usize].cu;
+        let cu = self.reqs[req].cu;
         let gpm = &mut self.gpms[gpm_id as usize];
         gpm.l2_cache.fill(line);
         gpm.cus[cu as usize].l1_cache.fill(line);

@@ -1,8 +1,8 @@
 //! The full-system discrete-event simulator.
 //!
 //! One [`Simulation`] owns the wafer: per-GPM translation and memory
-//! hierarchies, the central IOMMU, the mesh, the in-flight request table and
-//! a single event queue. Handlers are grouped by concern:
+//! hierarchies, the central IOMMU, the mesh, the request-slot table and a
+//! single event queue. Handlers are grouped by concern:
 //!
 //! * `translate` — the GPM-side translation path (TLBs, cuckoo filter,
 //!   GMMU walks) and the policy-specific remote path (probe chains, parallel
@@ -17,6 +17,7 @@ mod iommu;
 mod translate;
 
 use std::collections::VecDeque;
+use std::ops::{Index, IndexMut};
 
 use wsg_gpu::{AddressSpace, CuPipeline, MemoryOp, SystemConfig, WorkgroupTrace};
 use wsg_mem::{Hbm, Mshr, SetAssocCache};
@@ -43,7 +44,8 @@ pub(crate) const TIME_WINDOW: Cycle = 10_000;
 /// bug (an event storm), not a big workload. Checked in debug builds.
 pub(crate) const EVENT_CAP: u64 = 2_000_000_000;
 
-/// Index into the in-flight request table.
+/// A slot of the request table ([`RequestSlots`]). Slots are recycled, so
+/// an id names a request only while something still references it.
 pub(crate) type ReqId = u32;
 
 /// One compute unit: issue pipeline plus its private L1 TLB and L1 cache.
@@ -122,6 +124,118 @@ pub(crate) struct Request {
     /// Set once a translation response has been accepted (duplicate probe
     /// replies are ignored).
     pub resolved: bool,
+    /// Set once the request's `DataDone` fired; with `refs == 0` the slot
+    /// is free.
+    done: bool,
+    /// Pending events and structure entries naming this slot.
+    refs: u32,
+    /// Monotone issue number: the request id trace artifacts carry, which
+    /// stays unique when slots are reused.
+    #[cfg(feature = "probe")]
+    pub serial: u64,
+}
+
+impl Request {
+    fn is_free(&self) -> bool {
+        self.done && self.refs == 0
+    }
+}
+
+/// The request table, sized by what is in flight rather than by run length
+/// (DESIGN.md §16.5). A slot is freed once its request's `DataDone` fired
+/// and nothing references its id any more: [`Simulation::schedule`] holds
+/// it for every pending event, and every queue that stores ids (walker
+/// queues, MSHR waiter lists, the GPM MSHR park queue, the IOMMU pre-queue
+/// and stall queue, Trans-FW's in-flight table) holds it per entry. Stale ids must stay
+/// readable after resolution — late layer probes and already-answered
+/// walks still update metrics through them.
+///
+/// Indexing a free slot panics in debug builds, and so does releasing an
+/// id more often than it was held.
+#[derive(Debug, Default)]
+pub(crate) struct RequestSlots {
+    slots: Vec<Request>,
+    /// Free slots, reused last-freed first (the warmest in cache).
+    free: Vec<ReqId>,
+    /// Requests issued so far (the next probe serial).
+    #[cfg(feature = "probe")]
+    serials: u64,
+}
+
+impl RequestSlots {
+    /// Stores `req` in a free slot, keeping that slot's `probed` capacity.
+    fn alloc(&mut self, mut req: Request) -> ReqId {
+        #[cfg(feature = "probe")]
+        {
+            req.serial = self.serials;
+            self.serials += 1;
+        }
+        match self.free.pop() {
+            Some(id) => {
+                let slot = &mut self.slots[id as usize];
+                std::mem::swap(&mut req.probed, &mut slot.probed);
+                req.probed.clear();
+                *slot = req;
+                id
+            }
+            None => {
+                let id = ReqId::try_from(self.slots.len()).expect("request slots exceed u32 ids");
+                self.slots.push(req);
+                id
+            }
+        }
+    }
+
+    /// Adds one reference to `id`.
+    #[inline]
+    fn hold(&mut self, id: ReqId) {
+        self[id].refs += 1;
+    }
+
+    /// Drops one reference to `id`, freeing the slot if it was the last
+    /// one of a completed request.
+    #[inline]
+    fn release(&mut self, id: ReqId) {
+        let r = &mut self.slots[id as usize];
+        debug_assert!(
+            r.refs > 0,
+            "request slot {id} released more often than held"
+        );
+        r.refs -= 1;
+        if r.is_free() {
+            self.free.push(id);
+        }
+    }
+
+    /// Marks `id`'s request complete; its slot frees with the last release.
+    fn retire(&mut self, id: ReqId) {
+        self[id].done = true;
+    }
+
+    /// Slots currently allocated.
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
+
+impl Index<ReqId> for RequestSlots {
+    type Output = Request;
+
+    #[inline]
+    fn index(&self, id: ReqId) -> &Request {
+        let r = &self.slots[id as usize];
+        debug_assert!(!r.is_free(), "request slot {id} used after it was freed");
+        r
+    }
+}
+
+impl IndexMut<ReqId> for RequestSlots {
+    #[inline]
+    fn index_mut(&mut self, id: ReqId) -> &mut Request {
+        let r = &mut self.slots[id as usize];
+        debug_assert!(!r.is_free(), "request slot {id} used after it was freed");
+        r
+    }
 }
 
 /// Simulator events.
@@ -168,6 +282,27 @@ pub(crate) enum Event {
     DataDone { req: ReqId },
 }
 
+impl Event {
+    /// The request slot this event references, if any.
+    #[inline]
+    fn req(&self) -> Option<ReqId> {
+        match self {
+            Event::GmmuWalkDone { req, .. }
+            | Event::GmmuRetry { req, .. }
+            | Event::ChainProbe { req, .. }
+            | Event::ParallelProbe { req, .. }
+            | Event::IommuArrive { req }
+            | Event::IommuWalkDone { req }
+            | Event::RedirectArrive { req, .. }
+            | Event::XlatResponse { req, .. }
+            | Event::DataAtHome { req, .. }
+            | Event::DataReturn { req, .. }
+            | Event::DataDone { req } => Some(*req),
+            Event::CuIssue { .. } | Event::PushArrive { .. } => None,
+        }
+    }
+}
+
 /// The full-system simulator. Construct with [`Simulation::new`] (generated
 /// workload) or [`Simulation::with_traces`] (caller-provided traces), then
 /// call [`Simulation::run`].
@@ -180,7 +315,7 @@ pub struct Simulation {
     pub(crate) mesh: Mesh,
     pub(crate) gpms: Vec<GpmState>,
     pub(crate) iommu: IommuState,
-    pub(crate) reqs: Vec<Request>,
+    pub(crate) reqs: RequestSlots,
     pub(crate) metrics: Metrics,
     pub(crate) concentric: Option<ConcentricMap>,
     /// Per-GPM serial probe chains, precomputed per policy.
@@ -327,8 +462,6 @@ impl Simulation {
                     mshrs: 32,
                 })
             }),
-            // 32 MSHRs at the paper's 1024-entry scale; shrinks with the
-            // table so the blocking behaviour is preserved at reduced scale.
             // 32 MSHRs x 8 target slots at the paper's 1024-entry scale;
             // shrinks with the table so the blocking behaviour of Fig 19 is
             // preserved at reduced scale.
@@ -354,7 +487,7 @@ impl Simulation {
             mesh,
             gpms,
             iommu,
-            reqs: Vec::new(),
+            reqs: RequestSlots::default(),
             metrics,
             concentric,
             chains,
@@ -605,10 +738,14 @@ impl Simulation {
                 if !cu.pipeline.is_drained() {
                     let stuck: Vec<String> = self
                         .reqs
+                        .slots
                         .iter()
                         .enumerate()
                         .filter(|(_, r)| {
-                            r.gpm == g as u32 && !r.resolved && r.remote_started.is_some()
+                            !r.is_free()
+                                && r.gpm == g as u32
+                                && !r.resolved
+                                && r.remote_started.is_some()
                         })
                         .map(|(i, r)| {
                             format!(
@@ -634,8 +771,14 @@ impl Simulation {
                 }
             }
         }
-        // Conservation: every scheduled event was consumed.
+        // Conservation: every scheduled event was consumed, and every
+        // request slot was released.
         self.queue.drain_check();
+        assert_eq!(
+            self.reqs.live(),
+            0,
+            "request slots still referenced at the end of the run"
+        );
         // Runtime invariants: the auditor saw a clean run.
         #[cfg(feature = "audit")]
         {
@@ -675,26 +818,8 @@ impl Simulation {
         self.metrics
     }
 
-    /// The request id an event is about, if any.
-    #[cfg(feature = "probe")]
-    fn event_req(ev: &Event) -> Option<ReqId> {
-        match ev {
-            Event::GmmuWalkDone { req, .. }
-            | Event::GmmuRetry { req, .. }
-            | Event::ChainProbe { req, .. }
-            | Event::ParallelProbe { req, .. }
-            | Event::IommuArrive { req }
-            | Event::IommuWalkDone { req }
-            | Event::RedirectArrive { req, .. }
-            | Event::XlatResponse { req, .. }
-            | Event::DataAtHome { req, .. }
-            | Event::DataReturn { req, .. }
-            | Event::DataDone { req } => Some(*req),
-            Event::CuIssue { .. } | Event::PushArrive { .. } => None,
-        }
-    }
-
     fn dispatch(&mut self, t: Cycle, ev: Event) {
+        let req = ev.req();
         #[cfg(feature = "probe")]
         {
             // Sample telemetry epochs lazily off the event stream rather
@@ -710,7 +835,7 @@ impl Simulation {
             // Stamp the (cycle, request) context so leaf-structure probes
             // can emit instants without the engine threading either value
             // through.
-            self.sinks.context(t, Self::event_req(&ev).map(u64::from));
+            self.sinks.context(t, req.map(|r| self.reqs[r].serial));
         }
         match ev {
             Event::CuIssue { gpm, cu } => self.on_cu_issue(t, gpm, cu),
@@ -736,12 +861,19 @@ impl Simulation {
             Event::DataReturn { req, home } => self.on_data_return(t, req, home),
             Event::DataDone { req } => self.on_data_done(t, req),
         }
+        if let Some(r) = req {
+            self.reqs.release(r);
+        }
     }
 
-    /// Schedules `ev` to fire at absolute cycle `time`. Every handler goes
-    /// through this seam.
+    /// Schedules `ev` to fire at absolute cycle `time`, holding its request
+    /// slot until the event is dispatched. Every handler goes through this
+    /// seam.
     #[inline]
     pub(crate) fn schedule(&mut self, time: Cycle, ev: Event) {
+        if let Some(r) = ev.req() {
+            self.reqs.hold(r);
+        }
         self.queue.push(time, ev);
     }
 
@@ -769,13 +901,7 @@ impl Simulation {
         };
         let op = slot.pipeline.issue(issue_at);
         let vpn = self.cfg.page_size.vpn_of(op.vaddr);
-        let req = self.reqs.len() as ReqId;
-        #[cfg(feature = "probe")]
-        {
-            self.sinks.context(issue_at, Some(req as u64));
-            self.sinks.instant(gpm as u64, "issue", vpn.0);
-        }
-        self.reqs.push(Request {
+        let req = self.reqs.alloc(Request {
             gpm,
             cu,
             op,
@@ -789,15 +915,25 @@ impl Simulation {
             probed: Vec::new(),
             redirect_failed: false,
             resolved: false,
+            done: false,
+            refs: 0,
+            #[cfg(feature = "probe")]
+            serial: 0,
         });
+        #[cfg(feature = "probe")]
+        {
+            self.sinks.context(issue_at, Some(self.reqs[req].serial));
+            self.sinks.instant(gpm as u64, "issue", vpn.0);
+        }
         self.start_translation(issue_at, req);
         // Chain the next issue: gaps accumulate from this issue time.
         self.schedule(issue_at, Event::CuIssue { gpm, cu });
     }
 
     fn on_data_done(&mut self, t: Cycle, req: ReqId) {
-        let r = &self.reqs[req as usize];
+        let r = &self.reqs[req];
         let (g, c) = (r.gpm, r.cu);
+        self.reqs.retire(req);
         self.gpms[g as usize].cus[c as usize]
             .pipeline
             .complete_at(t);

@@ -14,7 +14,7 @@ impl Simulation {
     /// walkers, falling over to the remote path when the page is not local.
     pub(crate) fn start_translation(&mut self, t: Cycle, req: ReqId) {
         let (gpm_id, cu, vpn) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.gpm, r.cu, r.vpn)
         };
         let gc = self.cfg.gpm;
@@ -71,7 +71,7 @@ impl Simulation {
             SubmitResult::Started => {
                 self.schedule(t + walk_latency, Event::GmmuWalkDone { gpm: gpm_id, req });
             }
-            SubmitResult::Queued => {}
+            SubmitResult::Queued => self.reqs.hold(req),
             SubmitResult::Rejected => {
                 self.schedule(t + RETRY_BACKOFF, Event::GmmuRetry { gpm: gpm_id, req });
             }
@@ -92,10 +92,10 @@ impl Simulation {
                     req: next,
                 },
             );
+            self.reqs.release(next);
         }
         self.metrics.local_walks += 1;
-        let vpn = self.reqs[req as usize].vpn;
-        let requester = self.reqs[req as usize].gpm;
+        let vpn = self.reqs[req].vpn;
         let pte = self.gpms[gpm_id as usize].page_table.translate(vpn);
         // A finishing walk satisfies identical queued walks too (the GMMU's
         // MSHRs merge same-VPN walks).
@@ -104,14 +104,14 @@ impl Simulation {
             let reqs = &self.reqs;
             self.gpms[gpm_id as usize]
                 .walkers
-                .drain_matching_into(|r| reqs[*r as usize].vpn == vpn, &mut dups);
+                .drain_matching_into(|r| reqs[*r].vpn == vpn, &mut dups);
         }
         for &dup in &dups {
             self.finish_gmmu_walk(t, gpm_id, dup, vpn, pte);
+            self.reqs.release(dup);
         }
         dups.clear();
         self.walk_scratch = dups;
-        let _ = requester;
         self.finish_gmmu_walk(t, gpm_id, req, vpn, pte);
     }
 
@@ -125,7 +125,7 @@ impl Simulation {
         vpn: Vpn,
         pte: Option<wsg_xlat::Pte>,
     ) {
-        let requester = self.reqs[req as usize].gpm;
+        let requester = self.reqs[req].gpm;
         match pte {
             Some(pte) => {
                 self.fill_gmmu_cache(gpm_id, vpn, pte.pfn, false);
@@ -135,7 +135,7 @@ impl Simulation {
                     // MSHR entry, so completion goes through the common
                     // delivery path.
                     self.metrics.local_translations += 1;
-                    self.deliver_translation(t, req, pte.pfn, None);
+                    self.deliver_translation(t, req, pte.pfn);
                 } else {
                     // Forwarded walk on behalf of a remote requester.
                     let from = self.gpm_coord(gpm_id);
@@ -175,7 +175,7 @@ impl Simulation {
     /// after back-pressure.
     pub(crate) fn start_remote(&mut self, t: Cycle, req: ReqId, is_retry: bool) {
         let (gpm_id, vpn) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.gpm, r.vpn)
         };
         let mshr_cap = self.cfg.gpm.l2_tlb.mshrs.max(1);
@@ -185,6 +185,7 @@ impl Simulation {
                 // An identical request is in flight: coalesce (secondary
                 // miss in the L2 TLB MSHR).
                 waiters.push(req);
+                self.reqs.hold(req);
                 self.metrics.remote_coalesced += 1;
                 return;
             }
@@ -193,14 +194,15 @@ impl Simulation {
                 // entry frees (no polling).
                 self.metrics.remote_retries += 1;
                 gpm.mshr_stalled.push_back(req);
+                self.reqs.hold(req);
                 return;
             }
             gpm.remote_mshr.insert(vpn.0, Vec::new());
         }
-        if !is_retry || self.reqs[req as usize].remote_started.is_none() {
+        if !is_retry || self.reqs[req].remote_started.is_none() {
             self.metrics.remote_requests += 1;
         }
-        self.reqs[req as usize].remote_started = Some(t);
+        self.reqs[req].remote_started = Some(t);
 
         let from = self.gpm_coord(gpm_id);
         let cpu = self.cpu();
@@ -288,7 +290,7 @@ impl Simulation {
     /// Trans-FW) arrives at `chain[idx]`.
     pub(crate) fn on_chain_probe(&mut self, t: Cycle, req: ReqId, idx: usize) {
         let (vpn, requester) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.vpn, r.gpm)
         };
         let target = self.chains[requester as usize][idx];
@@ -319,7 +321,7 @@ impl Simulation {
             self.submit_gmmu_walk(t + lat, target, req);
             return;
         }
-        self.reqs[req as usize].probed.push(target);
+        self.reqs[req].probed.push(target);
         let next = idx + 1;
         let from = self.gpm_coord(target);
         if let Some(next_gpm) = self.chains[requester as usize].get(next).copied() {
@@ -342,7 +344,7 @@ impl Simulation {
     /// outer layer → drop (the innermost copy of the probe carries on).
     pub(crate) fn on_parallel_probe(&mut self, t: Cycle, req: ReqId, target: u32, innermost: bool) {
         let (vpn, requester) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.vpn, r.gpm)
         };
         let (hit, lat) = self.probe_gpm(target, vpn);
@@ -381,21 +383,21 @@ impl Simulation {
     /// record the resolution, fill the TLBs, release the MSHR waiters, and
     /// start every coalesced request's data access.
     pub(crate) fn on_xlat_response(&mut self, t: Cycle, req: ReqId, pfn: Pfn, source: Resolution) {
-        if self.reqs[req as usize].resolved {
+        if self.reqs[req].resolved {
             return; // a faster concurrent probe already answered
         }
         self.metrics.record_resolution(source);
         if source == Resolution::Proactive {
             self.metrics.prefetches_used += 1;
         }
-        if let Some(start) = self.reqs[req as usize].remote_started {
+        if let Some(start) = self.reqs[req].remote_started {
             let rtt = (t - start) as f64;
             self.metrics.remote_rtt.record(rtt);
             // The "remote" span covers exactly this interval, so a trace's
             // per-stage sum reconciles with the remote_rtt summary.
             #[cfg(feature = "probe")]
             {
-                let r = &self.reqs[req as usize];
+                let r = &self.reqs[req];
                 self.sinks
                     .span(r.gpm as u64, "remote", start, t - start, r.vpn.0);
             }
@@ -406,33 +408,33 @@ impl Simulation {
                 Resolution::Iommu => self.metrics.rtt_iommu.record(rtt),
             }
         }
-        self.deliver_translation(t, req, pfn, Some(source));
+        self.deliver_translation(t, req, pfn);
     }
 
     /// Delivers a completed translation to the requesting GPM: marks the
     /// request resolved, fills its TLBs, starts the data access, releases
     /// every request coalesced behind it, and admits parked requests into
-    /// the freed MSHR entry. `source` is `None` for translations that
-    /// completed through the local path.
-    pub(crate) fn deliver_translation(
-        &mut self,
-        t: Cycle,
-        req: ReqId,
-        pfn: Pfn,
-        source: Option<Resolution>,
-    ) {
-        self.reqs[req as usize].resolved = true;
+    /// the freed MSHR entry.
+    pub(crate) fn deliver_translation(&mut self, t: Cycle, req: ReqId, pfn: Pfn) {
+        self.reqs[req].resolved = true;
         let (gpm_id, cu, vpn) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.gpm, r.cu, r.vpn)
         };
-        let _ = source;
         // Whole-translation span: issue to PFN delivery at the requester.
+        // A request issued ahead of the current event time can be completed
+        // by an earlier same-VPN walk that drained it from the GMMU queue,
+        // so the span clamps at zero instead of underflowing.
         #[cfg(feature = "probe")]
         {
-            let issued = self.reqs[req as usize].issued;
-            self.sinks
-                .span(gpm_id as u64, "xlat", issued, t - issued, vpn.0);
+            let issued = self.reqs[req].issued;
+            self.sinks.span(
+                gpm_id as u64,
+                "xlat",
+                issued,
+                t.saturating_sub(issued),
+                vpn.0,
+            );
         }
 
         // Opportunistic fill of the GPMs probed on the way (route-based and
@@ -442,10 +444,12 @@ impl Simulation {
             PolicyKind::RouteCache { .. } | PolicyKind::Concentric { .. } | PolicyKind::Distributed
         );
         if fill_probed {
-            let probed = std::mem::take(&mut self.reqs[req as usize].probed);
-            for target in probed {
+            // Cleared in place, so a recycled slot keeps the capacity.
+            for i in 0..self.reqs[req].probed.len() {
+                let target = self.reqs[req].probed[i];
                 self.fill_gmmu_cache(target, vpn, pfn, false);
             }
+            self.reqs[req].probed.clear();
         }
         {
             let gpm = &mut self.gpms[gpm_id as usize];
@@ -459,12 +463,13 @@ impl Simulation {
             .remove(vpn.0)
             .unwrap_or_default();
         for w in waiters {
-            self.reqs[w as usize].resolved = true;
-            let wcu = self.reqs[w as usize].cu;
+            self.reqs[w].resolved = true;
+            let wcu = self.reqs[w].cu;
             self.gpms[gpm_id as usize].cus[wcu as usize]
                 .l1_tlb
                 .fill(vpn, pfn, false);
             self.start_data(t, w, pfn);
+            self.reqs.release(w);
         }
         // The freed MSHR entry admits parked requests (each pop either
         // allocates the freed entry or coalesces into a live one).
@@ -474,6 +479,7 @@ impl Simulation {
                 break;
             };
             self.start_remote(t, w, true);
+            self.reqs.release(w);
         }
     }
 
